@@ -5,6 +5,9 @@ sits at position i, so the gap weight of an edge (u, v) is |u - v|.  Graphs
 are immutable after construction: edge arrays are canonicalized (u < v,
 lexicographically sorted, deduplicated) and marked read-only, so they can be
 shared freely across threads.
+
+The path oracles are Dijkstra over the alive subgraph (Euclidean stretch) and
+a batched monotone breadth-first search on the line (exact 1D paths).
 """
 
 from __future__ import annotations
@@ -27,37 +30,17 @@ _DENSE_SINK_LIMIT = 8192  # above this, edge accumulation falls back to sorting
 # vertex sets
 # ---------------------------------------------------------------------------
 
+def vertex_ids(ids, n: int) -> np.ndarray:
+    """int64 array of vertex ids in the given order, validated against n."""
+    arr = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= n):
+        raise ValueError(f"vertex id out of range [0, {n})")
+    return arr.reshape(-1)
+
+
 def clean_vertex_set(ids, n: int) -> np.ndarray:
     """Sorted, deduplicated int64 array of vertex ids, validated against n."""
-    arr = np.unique(np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids,
-                               dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise ValueError(f"vertex id out of range [0, {n})")
-    return arr
-
-
-def bitmask(ids) -> int:
-    """Pack vertex ids into a python-int bitset."""
-    mask = 0
-    for v in ids:
-        mask |= 1 << int(v)
-    return mask
-
-
-def bits_to_array(mask: int) -> np.ndarray:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return np.asarray(out, dtype=np.int64)
-
-
-def iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return np.unique(vertex_ids(ids, n))
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +139,6 @@ class WeightedGraph:
         if positions is not None:
             positions.setflags(write=False)
         self._csr = None
-        self._adj = None
-        self._right_bits = None
-        self._left_bits = None
 
     # -- construction ------------------------------------------------------
 
@@ -226,29 +206,6 @@ class WeightedGraph:
             dat = np.concatenate([self.w, self.w])
             self._csr = csr_matrix((dat, (row, col)), shape=(self.n, self.n))
         return self._csr
-
-    def adjacency(self) -> list[np.ndarray]:
-        if self._adj is None:
-            csr = self.csr()
-            self._adj = [csr.indices[csr.indptr[i]:csr.indptr[i + 1]] for i in range(self.n)]
-        return self._adj
-
-    def right_bits(self) -> list[int]:
-        """Per-vertex bitsets of neighbors with larger id (1D monotone steps)."""
-        if self._right_bits is None:
-            right = [0] * self.n
-            left = [0] * self.n
-            for a, b in zip(self.u.tolist(), self.v.tolist()):
-                right[a] |= 1 << b
-                left[b] |= 1 << a
-            self._right_bits = right
-            self._left_bits = left
-        return self._right_bits
-
-    def left_bits(self) -> list[int]:
-        if self._left_bits is None:
-            self.right_bits()
-        return self._left_bits
 
     # -- invariant check (used by tests and after deserialization) ----------
 
@@ -425,42 +382,74 @@ def shortest_path_matrix(g: WeightedGraph, B, sources) -> np.ndarray:
 # 1D monotone reachability (the exact-spanner oracle)
 # ---------------------------------------------------------------------------
 
-def monotone_reach_bits(g: WeightedGraph, alive_mask: int, source: int,
-                        direction: str = "right", hop_cap: int | None = None) -> tuple[int, int]:
-    """Bitset of vertices reachable from source by a monotone path.
+_SOURCE_BLOCK = 1024  # sources per block; bounds the per-block arrays to 1024 x n
 
-    Returns (reached_mask, max_hops).  The source bit is included.  Monotone
-    paths on the line telescope, so every reached vertex t is at exact
-    distance |t - source|.
+
+def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
+                  hop_cap: int | None = None):
+    """Hop distances of monotone paths in g - B from each source, in blocks.
+
+    Yields (first, dist) for consecutive blocks of at most 1024 sources:
+    dist[i, v] is the fewest hops of a path from sources[first + i] to v
+    whose every step moves in `direction` through alive vertices, or -1 when
+    there is none within hop_cap hops (None: no cap).  The source holds 0
+    and may itself be failed.  Monotone paths on the line telescope, so every
+    reached vertex t is at exact distance |t - source|.
+
+    The step matrix A (A[a, b]: edge ab steps from a to alive b) is built
+    once per call.  Hop 1 is the gather A[sources]; each later hop is a
+    float32 matrix product restricted to the rows whose frontier is
+    non-empty and the columns some row has yet to reach beyond its source.
     """
-    step_bits = g.right_bits() if direction == "right" else g.left_bits()
-    front = 1 << source
-    reached = front
-    hops = 0
-    while front:
-        if hop_cap is not None and hops >= hop_cap:
-            break
-        nxt = 0
-        for u in iter_bits(front):
-            nxt |= step_bits[u]
-        nxt &= alive_mask
-        nxt &= ~reached
-        if not nxt:
-            break
-        reached |= nxt
-        front = nxt
-        hops += 1
-    return reached, hops
+    if direction not in ("left", "right"):
+        raise ValueError("direction must be 'left' or 'right'")
+    n = g.n
+    sources = vertex_ids(sources, n)
+    dead = clean_vertex_set(B, n)
+    alive = np.ones(n, dtype=bool)
+    alive[dead] = False
+    A = np.zeros((n, n), dtype=bool)
+    tail, head = (g.u, g.v) if direction == "right" else (g.v, g.u)
+    A[tail, head] = True
+    A[:, dead] = False
+    ids = np.arange(n)
+    for first in range(0, sources.size, _SOURCE_BLOCK):
+        src = sources[first:first + _SOURCE_BLOCK]
+        rows = np.arange(src.size)
+        dist = np.full((src.size, n), -1, dtype=np.int32)
+        dist[rows, src] = 0
+        front = A[src]
+        hop = 1
+        while hop_cap is None or hop <= hop_cap:
+            live = front.any(axis=1)
+            rows, front = rows[live], front[live]
+            if not rows.size:
+                break
+            reach = dist[rows]
+            np.putmask(reach, front, hop)
+            dist[rows] = reach
+            if hop == hop_cap:
+                break
+            beyond = ids > src[rows, None] if direction == "right" else ids < src[rows, None]
+            pending = (reach < 0) & alive & beyond
+            tgt = np.flatnonzero(pending.any(axis=0))
+            if not tgt.size:
+                break
+            mid = np.flatnonzero(front.any(axis=0))
+            step = np.zeros((rows.size, tgt.size), dtype=np.float32)
+            for k in range(0, mid.size, _SOURCE_BLOCK):
+                part = mid[k:k + _SOURCE_BLOCK]
+                step += front[:, part].astype(np.float32) @ A[part][:, tgt].astype(np.float32)
+            front = np.zeros_like(pending)
+            front[:, tgt] = (step > 0) & pending[:, tgt]
+            hop += 1
+        yield first, dist
 
 
 def monotone_reach_1d(g: WeightedGraph, B, source: int, direction: str = "right") -> np.ndarray:
     """All vertices t (not failed) reachable from source by a monotone path."""
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
     dead = clean_vertex_set(B, g.n)
-    if np.isin(source, dead).any():
+    if np.isin(source, dead):
         raise ValueError("source in failure set")
-    alive = ((1 << g.n) - 1) & ~bitmask(dead)
-    reached, _ = monotone_reach_bits(g, alive, source, direction)
-    reached &= ~(1 << source)
-    return bits_to_array(reached)
+    (_, dist), = monotone_hops(g, dead, [source], direction)
+    return np.flatnonzero(dist[0] > 0)

@@ -21,11 +21,12 @@ from scipy.sparse.csgraph import connected_components
 from .graph_core import (WeightedGraph, clean_vertex_set, shortest_path_matrix)
 from .quadtree import build_quadtree, normalize_unit
 from .shadow import as_fraction, shadow_1d, shadow_quadtree
-from .spanner1d import one_path_coverage
+from .spanner1d import coverage_totals, one_path_coverage
 from .spanner_euclidean import hd_config, hd_rank_permutations
 from .streams import substream
 
 STRETCH_SLACK = 1.0 + 1e-9  # a pair fails only beyond (1+eps)*dist*(1+1e-9)
+FAILING_KEPT = 64  # failing pairs kept for the sample and the greedy cover
 
 _workers = 1
 
@@ -209,19 +210,23 @@ def _bplus_hd(g: WeightedGraph, bad: np.ndarray) -> tuple[np.ndarray, list[str]]
 
 
 def _audit_1d(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
-              hop_cap) -> tuple[list, int, int | None, float | None]:
-    ok, failures, max_hops = one_path_coverage(g, bad, good, hop_cap)
+              hop_cap) -> tuple[list, int, int, int | None, float | None]:
+    _, failures, max_hops = one_path_coverage(g, bad, good, hop_cap, FAILING_KEPT)
+    failing = len(failures)
+    if failing == FAILING_KEPT:  # the coverage check stopped early: count them all
+        failing, max_hops = coverage_totals(g, bad, good, hop_cap)
     checked = good.size * (good.size - 1) // 2
-    return failures, checked, max_hops, 1.0 if good.size > 1 else None
+    return failures, failing, checked, max_hops, 1.0 if good.size > 1 else None
 
 
 def _audit_stretch(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
                    epsilon: float, pair_budget: int, seed: int
-                   ) -> tuple[list, int, dict, float | None]:
+                   ) -> tuple[list, int, int, dict, float | None]:
     """Stretch audit over good pairs; all pairs when n is small, otherwise a
-    uniform sample of pair_budget pairs with the sampling seed recorded."""
+    uniform sample of pair_budget pairs with the sampling seed recorded.
+    Returns (first failing pairs, failing count, checked, sampling, max stretch)."""
     if good.size < 2:
-        return [], 0, {"mode": "all"}, None
+        return [], 0, 0, {"mode": "all"}, None
     total_pairs = good.size * (good.size - 1) // 2
     limit = (1.0 + epsilon) * STRETCH_SLACK
     pos = g.positions
@@ -235,8 +240,8 @@ def _audit_stretch(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
         ratio = dist[:, good][iu] / euc[iu]
         max_stretch = float(np.nanmax(ratio))
         bad_idx = np.nonzero(ratio > limit)[0]
-        for b in bad_idx[:64]:
-            failures.append((int(good[iu[0][b]]), int(good[iu[1][b]])))
+        failures = [(int(good[iu[0][b]]), int(good[iu[1][b]])) for b in bad_idx[:FAILING_KEPT]]
+        failing = int(bad_idx.size)
         checked = int(total_pairs)
     else:
         rng = substream(seed, "stretch-sample")
@@ -247,6 +252,7 @@ def _audit_stretch(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
         srcs, tgts = srcs[keep], tgts[keep]
         uniq = np.unique(srcs)
         checked = int(srcs.size)
+        failing = 0
         for chunk_start in range(0, uniq.size, 256):
             chunk = uniq[chunk_start:chunk_start + 256]
             dist = shortest_path_matrix(g, bad, good[chunk])
@@ -258,9 +264,11 @@ def _audit_stretch(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
                 dg = float(dist[row_of[int(s_idx)], t])
                 ratio = dg / de
                 max_stretch = max(max_stretch, ratio)
-                if ratio > limit and len(failures) < 64:
-                    failures.append((s, t))
-    return failures, checked, sampling, max_stretch
+                if ratio > limit:
+                    failing += 1
+                    if len(failures) < FAILING_KEPT:
+                        failures.append((s, t))
+    return failures, failing, checked, sampling, max_stretch
 
 
 def certify(g: WeightedGraph, B, pair_budget: int = 10 ** 6, seed: int = 0,
@@ -306,14 +314,16 @@ def certify(g: WeightedGraph, B, pair_budget: int = 10 ** 6, seed: int = 0,
     max_stretch = None
     if kind in ("h1d", "g_theta"):
         hop_cap = g.meta.get("hop_cap") if kind == "g_theta" else None
-        failures, checked, max_hops, max_stretch = _audit_1d(g, bad, good, hop_cap)
+        failures, failing, checked, max_hops, max_stretch = _audit_1d(g, bad, good, hop_cap)
         sampling = {"mode": "all", "pairs": checked}
     else:
-        failures, checked, sampling, max_stretch = _audit_stretch(
+        failures, failing, checked, sampling, max_stretch = _audit_stretch(
             g, bad, good, g.meta["epsilon"], pair_budget, seed)
 
     loss_cert = int(bplus.size - np.intersect1d(bplus, bad).size)
     loss_greedy = _greedy_cover(failures) if failures else 0
+    if failing > len(failures):
+        notes.append(f"loss_greedy covers the first {len(failures)} of {failing} failing pairs")
     report = ReliabilityReport(
         report_version=1,
         construction={key: g.meta[key] for key in g.meta
@@ -325,9 +335,9 @@ def certify(g: WeightedGraph, B, pair_budget: int = 10 ** 6, seed: int = 0,
         bplus_size=int(bplus.size),
         bound=bound_val,
         bound_ok=bool(bound_ok),
-        failing_outside=len(failures),
+        failing_outside=failing,
         failing_sample=failures[:16],
-        passed=bool(bound_ok and not failures),
+        passed=bool(bound_ok and not failing),
         loss_certificate=loss_cert,
         loss_greedy=loss_greedy,
         greedy_le_certificate=loss_greedy <= loss_cert,

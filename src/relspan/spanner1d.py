@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import (WeightedGraph, bitmask, clean_vertex_set, edge_sink,
-                         iter_bits, monotone_reach_bits)
+from .graph_core import (WeightedGraph, clean_vertex_set, edge_sink, monotone_hops,
+                         vertex_ids)
 from .expanders import bipartite_into_sink
 from .shadow import as_fraction
 
@@ -295,45 +295,23 @@ def find_exact_path(g: WeightedGraph, B, s: int, t: int,
                     hop_cap: int | None = None) -> PathResult:
     """Monotone (hence exact-length) path from s to t in g minus B.
 
-    Bidirectional reachability meet: the ancestors of t prune the forward
-    layered search from s down to the corridor of vertices on some monotone
-    s-t path, so the walk only ever expands useful frontiers.  Absent is a
-    value, not an error.
+    The breadth-first layers from s give t's hop distance; the walk back
+    from t takes, at each layer, the lowest-id predecessor on that layer,
+    which makes the path deterministic.  Absent is a value, not an error.
     """
+    s, t = (int(x) for x in vertex_ids([s, t], g.n))
     if s >= t:
         raise ValueError("require s < t")
     dead = clean_vertex_set(B, g.n)
     if np.isin([s, t], dead).any():
         raise ValueError("endpoint in failure set")
-    alive = ((1 << g.n) - 1) & ~bitmask(dead)
-    ancestors, _ = monotone_reach_bits(g, alive, t, "left", hop_cap)
-    if not (ancestors >> s) & 1:
+    dist = next(monotone_hops(g, dead, [s], "right", hop_cap))[1][0]
+    if dist[t] < 0:
         return PathResult(False, [], 0, math.inf)
-    corridor = ancestors & alive
-    step_bits = g.right_bits()
-    target = 1 << t
-    layers = [1 << s]
-    reached = 1 << s
-    while not (reached & target):
-        if hop_cap is not None and len(layers) - 1 >= hop_cap:
-            return PathResult(False, [], 0, math.inf)
-        nxt = 0
-        for u in iter_bits(layers[-1]):
-            nxt |= step_bits[u]
-        nxt &= corridor & ~reached
-        if not nxt:
-            return PathResult(False, [], 0, math.inf)
-        layers.append(nxt)
-        reached |= nxt
-    # backtrack, lowest-id predecessor first for determinism
-    left_bits = g.left_bits()
     path = [t]
-    cur = t
-    for r in range(len(layers) - 2, -1, -1):
-        preds = left_bits[cur] & layers[r]
-        low = preds & -preds
-        cur = low.bit_length() - 1
-        path.append(cur)
+    for r in range(int(dist[t]) - 1, -1, -1):
+        preds = g.u[g.v == path[-1]]
+        path.append(int(preds[dist[preds] == r].min()))
     path.reverse()
     length = float(sum(path[k + 1] - path[k] for k in range(len(path) - 1)))
     if abs(length - (t - s)) > 1e-9 * max(1.0, t - s):
@@ -341,28 +319,49 @@ def find_exact_path(g: WeightedGraph, B, s: int, t: int,
     return PathResult(True, path, len(path) - 1, length)
 
 
+def _coverage_blocks(g: WeightedGraph, B, good, hop_cap):
+    """Yield (sources, hops, miss) per block of the good sources s that have
+    a good t > s, in the order of `good`: hops[i] is the hop count at which
+    the reach of sources[i] last grew, and miss[i, t] marks a good
+    t > sources[i] with no monotone path from sources[i] within hop_cap."""
+    good = vertex_ids(good, g.n)
+    sources = good[good < good.max()] if good.size else good
+    ids = np.arange(g.n)
+    is_good = np.isin(ids, good)
+    for first, dist in monotone_hops(g, B, sources, "right", hop_cap):
+        src = sources[first:first + dist.shape[0]]
+        miss = (dist < 0) & is_good & (ids > src[:, None])
+        yield src, dist.max(axis=1), miss
+
+
 def one_path_coverage(g: WeightedGraph, B, good: np.ndarray,
                       hop_cap: int | None = None,
                       max_failures: int = 64) -> tuple[bool, list[tuple[int, int]], int]:
     """Check that every good pair s < t is joined by a monotone path in g-B.
 
-    Returns (all_ok, sample of failing pairs, max hops over checked sources).
+    Returns (all_ok, failing pairs, max hops over checked sources).  Sources
+    are checked in the order of `good`, each source's failing t ascending;
+    the check stops at the source whose failure brings the list to
+    max_failures, and max hops covers the sources up to that one.
     """
-    dead = clean_vertex_set(B, g.n)
-    alive = ((1 << g.n) - 1) & ~bitmask(dead)
-    good_mask = bitmask(good)
     failures: list[tuple[int, int]] = []
     max_hops = 0
-    for s in np.asarray(good, dtype=np.int64).tolist():
-        want = good_mask >> (s + 1) << (s + 1)
-        if not want:
-            continue
-        reached, hops = monotone_reach_bits(g, alive, s, "right", hop_cap)
-        max_hops = max(max_hops, hops)
-        missing = want & ~reached
-        if missing:
-            for t in iter_bits(missing):
-                failures.append((s, t))
-                if len(failures) >= max_failures:
-                    return False, failures, max_hops
+    for src, hops, miss in _coverage_blocks(g, B, good, hop_cap):
+        r, t = np.nonzero(miss)
+        room = max(max_failures - len(failures), 1)
+        failures.extend(zip(src[r[:room]].tolist(), t[:room].tolist()))
+        if r.size >= room:
+            return False, failures, max(max_hops, int(hops[:r[room - 1] + 1].max()))
+        max_hops = max(max_hops, int(hops.max()))
     return (not failures), failures, max_hops
+
+
+def coverage_totals(g: WeightedGraph, B, good: np.ndarray,
+                    hop_cap: int | None = None) -> tuple[int, int]:
+    """(number of good pairs s < t with no monotone path in g-B, max hops
+    over all checked sources): one_path_coverage without its failure cap."""
+    failing, max_hops = 0, 0
+    for _, hops, miss in _coverage_blocks(g, B, good, hop_cap):
+        failing += int(np.count_nonzero(miss))
+        max_hops = max(max_hops, int(hops.max()))
+    return failing, max_hops

@@ -110,3 +110,82 @@ def shadow_1d_bruteforce(n: int, bad, alpha: Fraction, side: str = "both") -> se
     if side == "right":
         return right
     return left | right
+
+
+def monotone_layers_bruteforce(n: int, edges, source: int, bad=(),
+                               hop_cap: int | None = None,
+                               direction: str = "right") -> list[set[int]]:
+    """Breadth-first layers of monotone paths through alive vertices.
+
+    Layer 0 is {source} (kept even when the source failed); layer k holds
+    the vertices first reached with k hops.  At most hop_cap layers follow
+    layer 0, and the list stops at the first empty layer.
+    """
+    bad = set(bad)
+    step: dict[int, set[int]] = {i: set() for i in range(n)}
+    for u, v, _ in edges:
+        lo, hi = min(u, v), max(u, v)
+        if direction == "right":
+            step[lo].add(hi)
+        else:
+            step[hi].add(lo)
+    layers = [{source}]
+    seen = {source}
+    while hop_cap is None or len(layers) - 1 < hop_cap:
+        nxt = {v for u in layers[-1] for v in step[u] if v not in bad and v not in seen}
+        if not nxt:
+            break
+        layers.append(nxt)
+        seen |= nxt
+    return layers
+
+
+def one_path_coverage_bruteforce(n: int, edges, bad, good, hop_cap=None,
+                                 max_failures: int = 64):
+    """(all_ok, failing pairs, max hops) with one_path_coverage's contract:
+    sources in the order of `good` (skipping those with no good t above
+    them), each source's failing t ascending, and a stop right after the
+    failure that brings the list to max_failures, with max hops over the
+    sources visited so far."""
+    targets = sorted(set(good))
+    failures: list[tuple[int, int]] = []
+    max_hops = 0
+    for s in good:
+        want = [t for t in targets if t > s]
+        if not want:
+            continue
+        layers = monotone_layers_bruteforce(n, edges, s, bad, hop_cap)
+        reached = set().union(*layers)
+        max_hops = max(max_hops, len(layers) - 1)
+        for t in want:
+            if t not in reached:
+                failures.append((s, t))
+                if len(failures) >= max_failures:
+                    return False, failures, max_hops
+    return not failures, failures, max_hops
+
+
+def exact_path_bruteforce(n: int, edges, s: int, t: int, bad=(),
+                          hop_cap: int | None = None) -> list[int]:
+    """The monotone s-t path picked by the lowest-id-predecessor rule, or []
+    when there is none within hop_cap hops.
+
+    Replays the rule on its own terms: the vertices that reach t within the
+    cap form a corridor, breadth-first layers from s run inside it, and the
+    walk back from t takes, on each layer, the smallest-id vertex with an
+    edge into the current one.
+    """
+    bad = set(bad)
+    corridor = set().union(*monotone_layers_bruteforce(n, edges, t, bad, hop_cap, "left"))
+    if s not in corridor:
+        return []
+    inside = [(u, v, w) for u, v, w in edges if u in corridor and v in corridor]
+    layers = monotone_layers_bruteforce(n, inside, s, bad, hop_cap)
+    hops = next((k for k, layer in enumerate(layers) if t in layer), None)
+    if hops is None:
+        return []
+    into = {(min(u, v), max(u, v)) for u, v, _ in edges}
+    path = [t]
+    for k in range(hops - 1, -1, -1):
+        path.append(min(p for p in layers[k] if (p, path[-1]) in into))
+    return path[::-1]

@@ -92,6 +92,13 @@ def test_monotone_reach_requires_alive_source():
         monotone_reach_1d(g, [2], 2, "right")
 
 
+@pytest.mark.parametrize("source", [8, 10, -1])
+def test_monotone_reach_rejects_out_of_range_source(source):
+    g = path_graph(8)
+    with pytest.raises(ValueError, match="out of range"):
+        monotone_reach_1d(g, [], source)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_monotone_reach_matches_bruteforce(seed):
     n = 64

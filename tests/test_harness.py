@@ -135,6 +135,34 @@ def test_certify_rejects_unknown_meta():
         certify(g, [1])
 
 
+def test_failing_count_is_exact_on_the_line():
+    # path 0-1-...-199 cut at 100: all 100 * 99 pairs across the cut fail
+    n = 200
+    g = WeightedGraph.from_pairs(n, range(n - 1), range(1, n), line=True,
+                                 meta={"kind": "g_theta", "cert_alpha": "7/8",
+                                       "bplus_factor": "3/2"})
+    rep = certify(g, [100])
+    assert rep.bplus_size == 1 and not rep.passed
+    assert rep.failing_outside == 9900
+    assert rep.failing_sample == [(0, t) for t in range(101, 117)]
+    assert rep.max_hops == 99
+    assert rep.loss_greedy == 1
+    assert "loss_greedy covers the first 64 of 9900 failing pairs" in rep.notes
+
+
+@pytest.mark.parametrize("pair_budget", [10 ** 6, 500])
+def test_failing_count_is_exact_in_stretch_audit(bs_graph, pair_budget):
+    # without edges every audited pair fails, in the all-pairs and the sampled mode
+    g = WeightedGraph.from_pairs(bs_graph.n, [], [], positions=bs_graph.positions,
+                                 meta=bs_graph.meta)
+    rep = certify(g, [], pair_budget=pair_budget)
+    assert rep.pair_sampling["mode"] == ("all" if pair_budget > 2016 else "sampled")
+    assert rep.failing_outside == rep.pairs_checked > 64
+    assert len(rep.failing_sample) == 16
+    assert (f"loss_greedy covers the first 64 of {rep.pairs_checked} failing pairs"
+            in rep.notes)
+
+
 def test_failing_pairs_monotone_in_b():
     # nested failure chains never un-fail a surviving pair
     g = build_H(64, xi="1/2", seed=14)  # sparse variant so failures can occur

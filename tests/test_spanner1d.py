@@ -255,6 +255,9 @@ def test_find_path_validates_endpoints():
         find_exact_path(g, [], 5, 3)
     with pytest.raises(ValueError):
         find_exact_path(g, [3], 3, 5)
+    for s, t in ((0, 100), (0, 8), (-1, 5)):
+        with pytest.raises(ValueError, match="out of range"):
+            find_exact_path(g, [], s, t)
 
 
 def test_monotone_reach_consistency_with_paths():
