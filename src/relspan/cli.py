@@ -12,7 +12,6 @@ import argparse
 import datetime
 import hashlib
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import harness
 from .expanders import (build_bipartite_expander, build_reliable_connectivity,
                         build_strong_expander, build_verified_bipartite,
                         verify_connectivity_sampled, verify_expansion_sampled,
@@ -292,9 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spanner",
         description="Reliable geometric spanners: builders, shadows, attacks, certification.")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("SPANNER_THREADS", "1")),
-                        help="worker cap for harness sweeps (env SPANNER_THREADS)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a spanner")
@@ -437,7 +432,6 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args._argv = list(argv)
-    harness.set_workers(args.threads)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, FileNotFoundError, KeyError) as exc:

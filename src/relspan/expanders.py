@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import WeightedGraph, edge_sink
+from .graph_core import EdgeSink, WeightedGraph
 from .shadow import as_fraction
 from .streams import subseed, substream
 
@@ -76,31 +76,21 @@ def bipartite_sample_plan(a: int, b: int, xi: Fraction,
 
 def bipartite_into_sink(sink, left, right, xi: Fraction, seed: int, labels: tuple,
                         c_override: int | None = None) -> dict:
-    """Emit one bipartite expander layer into an edge sink.
-
-    left/right are either (start, stop) ranges or explicit id arrays.  The
-    plan dict is returned so builders can account budgets.
-    """
-    def _size(side):
-        return (side[1] - side[0]) if isinstance(side, tuple) else len(side)
-
-    a, b = _size(left), _size(right)
+    """Emit one bipartite expander layer between the id arrays left and right
+    into an edge sink.  The plan dict is returned so builders can account
+    budgets."""
+    lids = np.asarray(left, dtype=np.int64)
+    rids = np.asarray(right, dtype=np.int64)
+    a, b = lids.size, rids.size
     if a < 1 or b < 1:
         raise ValueError("expander sides must be nonempty")
     plan = bipartite_sample_plan(a, b, xi, c_override)
     if plan["saturated"]:
-        if isinstance(left, tuple) and isinstance(right, tuple):
-            sink.add_block(left[0], left[1], right[0], right[1])
-        else:
-            lids = np.arange(*left) if isinstance(left, tuple) else np.asarray(left)
-            rids = np.arange(*right) if isinstance(right, tuple) else np.asarray(right)
-            sink.add_index_block(lids, rids)
+        sink.add_block(lids, rids)
         return plan
     if plan["budget"] > _MAX_DRAWS:
         raise ValueError(f"sampling budget {plan['budget']} exceeds the draw limit; "
                          "use degree_constant_override for experiments at this size")
-    lids = np.arange(*left, dtype=np.int64) if isinstance(left, tuple) else np.asarray(left, dtype=np.int64)
-    rids = np.arange(*right, dtype=np.int64) if isinstance(right, tuple) else np.asarray(right, dtype=np.int64)
     rng_l = substream(seed, *labels, "L")
     rng_r = substream(seed, *labels, "R")
     jl = rng_l.integers(0, b, size=a * plan["ell_left"])
@@ -123,9 +113,9 @@ def build_bipartite_expander(left_size: int, right_size: int, xi, seed: int = 0,
     if not (0 < xi < 1):
         raise ValueError("xi must be in (0, 1)")
     n = left_size + right_size
-    sink = edge_sink(n)
-    plan = bipartite_into_sink(sink, (0, left_size), (left_size, n), xi, seed,
-                               ("bipartite",), degree_constant_override)
+    sink = EdgeSink(n)
+    plan = bipartite_into_sink(sink, np.arange(left_size), np.arange(left_size, n), xi,
+                               seed, ("bipartite",), degree_constant_override)
     u, v = sink.extract()
     meta = {
         "kind": "bipartite_expander",
@@ -169,8 +159,8 @@ def build_strong_expander(n: int, alpha: int, beta, seed: int = 0,
     }
     if c >= n:
         meta["saturated"] = True
-        sink = edge_sink(n)
-        sink.add_block(0, n, 0, n)
+        sink = EdgeSink(n)
+        sink.add_band(n - 1)
         u, v = sink.extract()
         return WeightedGraph.from_pairs(n, u, v, meta=meta)
     if c * n > _MAX_DRAWS:

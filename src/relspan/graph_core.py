@@ -3,8 +3,11 @@
 Vertex ids are 0-based everywhere.  For graphs on the integer line, vertex i
 sits at position i, so the gap weight of an edge (u, v) is |u - v|.  Graphs
 are immutable after construction: edge arrays are canonicalized (u < v,
-lexicographically sorted, deduplicated) and marked read-only, so they can be
-shared freely across threads.
+lexicographically sorted, deduplicated) and marked read-only.
+
+Every builder marks its edges in one EdgeSink, and every graph, built or
+loaded, goes through WeightedGraph.from_pairs, the one place that orients,
+drops self-loops, sorts and deduplicates edges.
 
 The path oracles are Dijkstra over the alive subgraph (Euclidean stretch) and
 a batched monotone breadth-first search on the line (exact 1D paths).
@@ -22,8 +25,6 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.spatial import cKDTree
 
 REL_TOL = 1e-9  # relative tolerance for path-length comparisons
-
-_DENSE_SINK_LIMIT = 8192  # above this, edge accumulation falls back to sorting
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +146,12 @@ class WeightedGraph:
     @classmethod
     def from_pairs(cls, n: int, u, v, positions=None, line: bool = False,
                    meta: dict | None = None) -> "WeightedGraph":
-        """Build from an edge multiset: dedup, drop self-loops, weight by metric."""
+        """Build from an edge multiset in any orientation and order.
+
+        Orients each pair as u < v, drops self-loops, sorts by (u, v), drops
+        duplicates and weights each edge by the metric: |u - v| on the line,
+        Euclidean distance with positions, 1 otherwise.
+        """
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.size:
@@ -154,12 +160,11 @@ class WeightedGraph:
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         keep = lo != hi
-        lo, hi = lo[keep], hi[keep]
-        if lo.size:
-            packed = lo * np.int64(n) + hi
-            packed = np.unique(packed)
-            lo = (packed // n).astype(np.int64)
-            hi = (packed % n).astype(np.int64)
+        packed = np.sort(lo[keep] * np.int64(n) + hi[keep])
+        first = np.ones(packed.size, dtype=bool)
+        first[1:] = packed[1:] != packed[:-1]
+        packed = packed[first]
+        lo, hi = packed // n, packed % n
         if line:
             if positions is not None:
                 raise ValueError("line graphs carry implicit positions")
@@ -217,8 +222,8 @@ class WeightedGraph:
         if int(self.u.min()) < 0 or int(self.v.max()) >= self.n:
             raise AssertionError("endpoint out of range")
         packed = self.u * np.int64(self.n) + self.v
-        if np.unique(packed).size != packed.size:
-            raise AssertionError("duplicate edges")
+        if not (packed[1:] > packed[:-1]).all():
+            raise AssertionError("edges not sorted and unique")
         if self.is_line:
             expect = (self.v - self.u).astype(np.float64)
         elif self.positions is not None:
@@ -243,31 +248,35 @@ class WeightedGraph:
 
 def load_edge_list(path, n: int | None = None, positions=None,
                    line: bool = False, meta: dict | None = None) -> WeightedGraph:
-    """Read "u v w" lines; weights are recomputed from positions when known."""
-    us, vs, ws = [], [], []
+    """Read "u v w" lines into a canonical graph.
+
+    The stored weight is ignored: from_pairs canonicalizes the edges, checks
+    every id against n and recomputes each weight from the metric.
+    """
+    us, vs = [], []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         raw = raw.strip()
         if not raw:
             continue
-        a, b, w = raw.split()
+        a, b, _ = raw.split()
         us.append(int(a))
         vs.append(int(b))
-        ws.append(float(w))
     if n is None:
         n = (max(max(us), max(vs)) + 1) if us else 0
-    if line or positions is not None:
-        return WeightedGraph.from_pairs(n, us, vs, positions=positions, line=line, meta=meta)
-    g = WeightedGraph(n, np.asarray(us, dtype=np.int64), np.asarray(vs, dtype=np.int64),
-                      np.asarray(ws, dtype=np.float64), meta=dict(meta or {}))
-    return g
+    return WeightedGraph.from_pairs(n, us, vs, positions=positions, line=line, meta=meta)
 
 
 # ---------------------------------------------------------------------------
 # edge accumulation for the builders
 # ---------------------------------------------------------------------------
 
-class DenseEdgeSink:
-    """Boolean adjacency matrix; block marks are C-speed slice assignments."""
+class EdgeSink:
+    """The builders' edge marks: an n x n boolean matrix.
+
+    Adds are C-speed assignments, and a pair marked again costs no memory,
+    so saturated, overlapping blocks stay within n^2 bytes.  extract()
+    returns the marks as they are; WeightedGraph.from_pairs canonicalizes.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -276,63 +285,19 @@ class DenseEdgeSink:
     def add_pairs(self, u: np.ndarray, v: np.ndarray) -> None:
         self.mat[u, v] = True
 
-    def add_block(self, a0: int, a1: int, b0: int, b1: int) -> None:
-        self.mat[a0:a1, b0:b1] = True
-
-    def add_index_block(self, left_ids: np.ndarray, right_ids: np.ndarray) -> None:
+    def add_block(self, left_ids: np.ndarray, right_ids: np.ndarray) -> None:
+        """Every pair (a, b) with a in left_ids and b in right_ids."""
         self.mat[np.ix_(left_ids, right_ids)] = True
 
     def add_band(self, width: int) -> None:
         """All pairs (u, v) with 0 < v - u <= width."""
-        for u in range(self.n):
-            hi = min(self.n, u + 1 + width)
-            if hi > u + 1:
-                self.mat[u, u + 1:hi] = True
+        for u in range(self.n if width > 0 else 0):
+            self.mat[u, u + 1:u + 1 + width] = True
 
     def extract(self) -> tuple[np.ndarray, np.ndarray]:
-        sym = self.mat | self.mat.T
-        uu, vv = np.nonzero(np.triu(sym, k=1))
+        """Row and column of every mark, row-major."""
+        uu, vv = np.nonzero(self.mat)
         return uu.astype(np.int64), vv.astype(np.int64)
-
-
-class SparseEdgeSink:
-    """Chunked (u, v) accumulation deduplicated once at extraction."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.chunks: list[np.ndarray] = []
-
-    def add_pairs(self, u: np.ndarray, v: np.ndarray) -> None:
-        lo = np.minimum(u, v).astype(np.int64)
-        hi = np.maximum(u, v).astype(np.int64)
-        keep = lo != hi
-        self.chunks.append(lo[keep] * np.int64(self.n) + hi[keep])
-
-    def add_block(self, a0: int, a1: int, b0: int, b1: int) -> None:
-        left = np.arange(a0, a1, dtype=np.int64)
-        right = np.arange(b0, b1, dtype=np.int64)
-        self.add_pairs(np.repeat(left, right.size), np.tile(right, left.size))
-
-    def add_index_block(self, left_ids: np.ndarray, right_ids: np.ndarray) -> None:
-        self.add_pairs(np.repeat(np.asarray(left_ids, dtype=np.int64), len(right_ids)),
-                       np.tile(np.asarray(right_ids, dtype=np.int64), len(left_ids)))
-
-    def add_band(self, width: int) -> None:
-        for u in range(self.n):
-            hi = min(self.n, u + 1 + width)
-            if hi > u + 1:
-                vs = np.arange(u + 1, hi, dtype=np.int64)
-                self.chunks.append(np.int64(u) * np.int64(self.n) + vs)
-
-    def extract(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.chunks:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        packed = np.unique(np.concatenate(self.chunks))
-        return (packed // self.n).astype(np.int64), (packed % self.n).astype(np.int64)
-
-
-def edge_sink(n: int):
-    return DenseEdgeSink(n) if n <= _DENSE_SINK_LIMIT else SparseEdgeSink(n)
 
 
 # ---------------------------------------------------------------------------

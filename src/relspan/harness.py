@@ -11,7 +11,6 @@ the observed loss is reported alongside the constructive certificate.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,13 +26,6 @@ from .streams import substream
 
 STRETCH_SLACK = 1.0 + 1e-9  # a pair fails only beyond (1+eps)*dist*(1+1e-9)
 FAILING_KEPT = 64  # failing pairs kept for the sample and the greedy cover
-
-_workers = 1
-
-
-def set_workers(count: int) -> None:
-    global _workers
-    _workers = max(1, int(count))
 
 
 # ---------------------------------------------------------------------------
@@ -401,29 +393,21 @@ def _certify_connectivity(g: WeightedGraph, bad: np.ndarray,
 def loss_curve(g: WeightedGraph, attack_kind: str, k_list, trials: int,
                seed: int = 0, pair_budget: int = 10 ** 6) -> list[dict]:
     """Per-trial certification rows plus per-k aggregates."""
-    jobs = [(k, trial) for k in k_list for trial in range(trials)]
-
-    def run(job):
-        k, trial = job
-        spec = AttackSpec(attack_kind, k, seed=seed * 1_000_003 + k * 1009 + trial)
-        bad = generate_attack(spec, g)
-        rep = certify(g, bad, pair_budget=pair_budget, seed=spec.seed, attack=spec)
-        return {
-            "k": k, "trial": trial, "kind": attack_kind,
-            "bad": int(bad.size),
-            "bplus": rep.bplus_size,
-            "ratio": rep.bplus_size / bad.size if bad.size else 0.0,
-            "loss_greedy": rep.loss_greedy,
-            "max_stretch": rep.max_stretch if rep.max_stretch is not None else "",
-            "passed": rep.passed,
-        }
-
-    if _workers > 1:
-        with ThreadPoolExecutor(max_workers=_workers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
-
+    rows = []
+    for k in k_list:
+        for trial in range(trials):
+            spec = AttackSpec(attack_kind, k, seed=seed * 1_000_003 + k * 1009 + trial)
+            bad = generate_attack(spec, g)
+            rep = certify(g, bad, pair_budget=pair_budget, seed=spec.seed, attack=spec)
+            rows.append({
+                "k": k, "trial": trial, "kind": attack_kind,
+                "bad": int(bad.size),
+                "bplus": rep.bplus_size,
+                "ratio": rep.bplus_size / bad.size if bad.size else 0.0,
+                "loss_greedy": rep.loss_greedy,
+                "max_stretch": rep.max_stretch if rep.max_stretch is not None else "",
+                "passed": rep.passed,
+            })
     out = list(rows)
     for k in k_list:
         sub = [r for r in rows if r["k"] == k]

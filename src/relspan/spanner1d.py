@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import (WeightedGraph, clean_vertex_set, edge_sink, monotone_hops,
+from .graph_core import (EdgeSink, WeightedGraph, clean_vertex_set, monotone_hops,
                          vertex_ids)
 from .expanders import bipartite_into_sink
 from .shadow import as_fraction
@@ -139,18 +139,18 @@ def build_H(n: int, xi=Fraction(1, 16), seed: int = 0,
         raise ValueError("xi must be in (0, 1)")
     n_padded = pow2_at_least(n)
     h = n_padded.bit_length() - 1
-    sink = edge_sink(n_padded)
+    sink = EdgeSink(n_padded)
     budget = 0
     for lev in range(h):
         size = 1 << lev
         for k in range((n_padded >> lev) - 1):
-            plan = bipartite_into_sink(sink, (k * size, (k + 1) * size),
-                                       ((k + 1) * size, (k + 2) * size),
+            plan = bipartite_into_sink(sink, np.arange(k * size, (k + 1) * size),
+                                       np.arange((k + 1) * size, (k + 2) * size),
                                        xi, seed, ("h", lev, k),
                                        degree_constant_override)
             budget += plan["budget"]
     u, v = sink.extract()
-    keep = v < n
+    keep = np.maximum(u, v) < n
     cert = _h_certificate(xi)
     meta = {
         "kind": "h1d",
@@ -226,7 +226,7 @@ def build_G_theta(n: int, theta, c: int = 512, seed: int = 0,
     if N >= n:
         warnings.append(f"N={N} >= n={n}: construction degenerates to the near-clique G0")
         regime = "degenerate"
-    sink = edge_sink(n)
+    sink = EdgeSink(n)
     budget = 0
     if 3 * N >= n - 1:
         sink.add_band(n - 1)
@@ -245,8 +245,8 @@ def build_G_theta(n: int, theta, c: int = 512, seed: int = 0,
                     b0, b1 = max(b0, 0), min(b1, n)
                     if a1 - a0 < 2 or b1 - b0 < 2:
                         continue  # clipped to fewer than 2 positions: skip
-                    plan = bipartite_into_sink(sink, (a0, a1), (b0, b1), xi, seed,
-                                               ("gt", i, j, k),
+                    plan = bipartite_into_sink(sink, np.arange(a0, a1), np.arange(b0, b1),
+                                               xi, seed, ("gt", i, j, k),
                                                degree_constant_override)
                     budget += plan["budget"]
     u, v = sink.extract()

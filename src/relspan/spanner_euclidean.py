@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .expanders import bipartite_into_sink
-from .graph_core import PointSet, WeightedGraph, edge_sink
+from .graph_core import EdgeSink, PointSet, WeightedGraph
 from .lso import OrderingFamily, build_ordering_family, family_size, sort_by_ordering
 from .quadtree import build_quadtree, build_wspd, normalize_unit, wspd_point_pair_counts
 from .shadow import as_fraction
@@ -54,7 +54,7 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     separation = 6.0 / epsilon
     pairs = build_wspd(tree, separation)
     xi = theta / 8
-    sink = edge_sink(n)
+    sink = EdgeSink(n)
     budget = 0
     for i, pair in enumerate(pairs):
         plan = bipartite_into_sink(sink, tree.nodes[pair.u].point_ids,
@@ -169,7 +169,7 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     cfg = hd_config(n, d, epsilon, theta, variant, c2)
     normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
     N1d, _ = shifted_interval_params(cfg["theta_prime"], sub_c)
-    sink = edge_sink(n)
+    sink = EdgeSink(n)
     if 3 * N1d >= n - 1:
         regime = "g1d_clique_union"
         sink.add_band(n - 1)

@@ -189,3 +189,8 @@ def exact_path_bruteforce(n: int, edges, s: int, t: int, bad=(),
     for k in range(hops - 1, -1, -1):
         path.append(min(p for p in layers[k] if (p, path[-1]) in into))
     return path[::-1]
+
+
+def canonical_edges_bruteforce(pairs) -> list[tuple[int, int]]:
+    """The sorted set of (min, max) pairs, self-loops dropped."""
+    return sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})

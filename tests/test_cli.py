@@ -138,6 +138,33 @@ def test_certify_failure_exits_one(tmp_path):
     assert run(["certify", "--graph", out, "--bad", bad]) == 1
 
 
+def _dirty_reliable_graph(tmp_path, before="", after=""):
+    """A saved reliable-connectivity graph with raw lines added around it."""
+    out = tmp_path / "r.edges"
+    assert run(["expander", "reliable", "--n", "20", "--theta", "0.4",
+                "--seed", "1", "-o", out]) == 0
+    clean = load_graph(str(out))
+    out.write_text(before + out.read_text() + after)
+    return out, clean
+
+
+def test_load_graph_canonicalizes_expander_file(tmp_path):
+    out, clean = _dirty_reliable_graph(tmp_path, before="5 2 1.0\n5 2 1.0\n3 3 1.0\n")
+    g = load_graph(str(out))
+    g.validate()
+    assert g.edge_count == clean.edge_count == 190
+    assert g.edge_set() == clean.edge_set()
+
+
+def test_load_graph_rejects_out_of_range_id(tmp_path, capsys):
+    out, _ = _dirty_reliable_graph(tmp_path, after="0 99 1.0\n")
+    with pytest.raises(ValueError, match="out of range"):
+        load_graph(str(out))
+    capsys.readouterr()
+    assert run(["certify", "--graph", out]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_loss_curve_cli(tmp_path):
     out = tmp_path / "h.edges"
     run(["build", "1d-const", "--n", "64", "--seed", "8", "-o", out])

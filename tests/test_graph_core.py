@@ -137,6 +137,23 @@ def test_out_of_range_edges_rejected():
         WeightedGraph.from_pairs(3, [0], [3], line=True)
 
 
+@pytest.mark.parametrize("u, v", [([1, 0], [2, 3]), ([0, 0], [2, 2])],
+                         ids=["unsorted", "duplicate"])
+def test_validate_rejects_unsorted_or_duplicate_edges(u, v):
+    g = WeightedGraph(4, np.array(u), np.array(v), np.ones(2))
+    with pytest.raises(AssertionError, match="sorted and unique"):
+        g.validate()
+
+
+def test_load_canonicalizes_a_dirty_edge_list(tmp_path):
+    path = tmp_path / "dirty.txt"
+    path.write_text("2 1 1.0\n0 3 5.0\n2 1 1.0\n1 1 1.0\n")
+    g = load_edge_list(path, n=4)
+    assert g.u.tolist() == [0, 1] and g.v.tolist() == [3, 2]
+    assert g.w.tolist() == [1.0, 1.0]
+    g.validate()
+
+
 def test_edge_list_roundtrip(tmp_path):
     g = random_graph(10, 25, seed=7)
     path = tmp_path / "edges.txt"

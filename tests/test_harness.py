@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from relspan.graph_core import WeightedGraph
-from relspan.harness import (AttackSpec, certify, generate_attack, loss_curve,
-                             set_workers, write_loss_csv)
+from relspan.harness import AttackSpec, certify, generate_attack, loss_curve, write_loss_csv
 from relspan.spanner1d import build_G_theta, build_H
 from relspan.spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
 from relspan.streams import substream
@@ -199,11 +198,7 @@ def test_loss_curve_zero_k(h_graph):
 
 
 def test_loss_curve_csv_roundtrip(tmp_path, h_graph):
-    set_workers(2)
-    try:
-        rows = loss_curve(h_graph, "interval", [4, 8], trials=3, seed=1)
-    finally:
-        set_workers(1)
+    rows = loss_curve(h_graph, "interval", [4, 8], trials=3, seed=1)
     agg = [r for r in rows if r["trial"] == "aggregate"]
     assert len(agg) == 2
     assert all(r["ratio"] <= 200 for r in agg)
@@ -221,16 +216,6 @@ def test_stretch_audit_sampled_mode(bs_graph):
     assert rep.pair_sampling["seed"] == 99
     assert rep.pairs_checked <= 200
     assert rep.passed
-
-
-def test_threads_env_respected(monkeypatch, tmp_path):
-    from relspan import cli, harness
-    monkeypatch.setenv("SPANNER_THREADS", "3")
-    out = tmp_path / "h.edges"
-    assert cli.dispatch(["build", "1d-const", "--n", "16", "--seed", "1",
-                         "-o", str(out)]) == 0
-    assert harness._workers == 3
-    harness.set_workers(1)
 
 
 def test_random_k_alias(h_graph):

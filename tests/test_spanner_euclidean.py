@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspan.graph_core import PointSet, edge_sink, shortest_path_matrix
+from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_matrix
 from relspan.lso import build_ordering_family, sort_by_ordering
 from relspan.spanner1d import build_G_theta
 from relspan.spanner_euclidean import (build_bounded_spread_spanner,
@@ -148,11 +148,10 @@ def test_union_reconstruction_matches_builder_fast_path():
     from relspan.quadtree import normalize_unit
     normed, _, _ = normalize_unit(pts, margin=g.meta["norm_margin"])
     family = build_ordering_family(2, g.meta["sigma"])
-    sink = edge_sink(n)
+    sink = EdgeSink(n)
     union_over_orderings(normed, family.orderings[:3], Fraction(g.meta["theta_prime"]),
                          g.meta["sub_c"], g.meta["sub_mode"], g.meta["seed"], sink)
-    u, v = sink.extract()
-    assert set(zip(u.tolist(), v.tolist())) == g.edge_set()
+    assert WeightedGraph.from_pairs(n, *sink.extract()).edge_set() == g.edge_set()
 
 
 def test_union_layered_path_is_exact_union():
@@ -163,10 +162,9 @@ def test_union_layered_path_is_exact_union():
     family = build_ordering_family(2, 0.5)
     orderings = family.orderings[:4]
     theta_prime = Fraction(7, 10)
-    sink = edge_sink(n)
+    sink = EdgeSink(n)
     union_over_orderings(normed, orderings, theta_prime, 4, "experimental", 11, sink)
-    u, v = sink.extract()
-    got = set(zip(u.tolist(), v.tolist()))
+    got = WeightedGraph.from_pairs(n, *sink.extract()).edge_set()
     expect = set()
     from relspan.streams import subseed
     for o in orderings:
