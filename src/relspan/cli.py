@@ -376,11 +376,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bad", required=True)
     p.add_argument("-o", "--out", required=True)
 
-    p = sub.add_parser("attack", help="generate a failure set")
+    p = sub.add_parser(
+        "attack", help="generate a failure set",
+        description="Generate a failure set B of k vertices, 0 <= k <= n. greedy-shadow "
+                    "adds, k times, the vertex whose failure most enlarges a shadow of B "
+                    "and stops once that shadow holds every vertex. On line graphs that "
+                    "is the certificate's cert_alpha 1D shadow, on bounded-spread graphs "
+                    "the certificate's gamma-quadtree shadow; on hd graphs it is only a "
+                    "proxy, the quadtree shadow at gamma = 1 - theta/2, since certify "
+                    "uses the ordering-union shadow there.")
     p.add_argument("--graph", required=True)
     p.add_argument("--kind", required=True,
                    choices=["random", "prefix", "interval", "ball", "greedy-shadow"])
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True, help="failure set size, 0 <= k <= n")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True)
 

@@ -24,36 +24,6 @@ from .streams import subseed, substream
 _MAX_DRAWS = 200_000_000  # refuse sample plans beyond this many draws
 
 
-@dataclass
-class ExpanderParams:
-    """Parameter record echoed through CLI metadata."""
-
-    xi: Fraction | None = None
-    alpha: int | None = None
-    beta: Fraction | None = None
-    theta: Fraction | None = None
-    seed: int = 0
-    degree_constant_override: int | None = None
-
-    def __post_init__(self):
-        if self.xi is not None:
-            self.xi = as_fraction(self.xi)
-            if not (0 < self.xi < 1):
-                raise ValueError("xi must be in (0, 1)")
-        if self.alpha is not None and self.alpha <= 1:
-            raise ValueError("alpha must be an integer > 1")
-        if self.beta is not None:
-            self.beta = as_fraction(self.beta)
-            if not (0 < self.beta < 1):
-                raise ValueError("beta must be in (0, 1)")
-        if self.theta is not None:
-            self.theta = as_fraction(self.theta)
-            if not (0 < self.theta < Fraction(1, 2)):
-                raise ValueError("theta must be in (0, 1/2)")
-        if self.degree_constant_override is not None and self.degree_constant_override < 1:
-            raise ValueError("degree constant override must be >= 1")
-
-
 def bipartite_degree_constant(xi: Fraction) -> int:
     return math.ceil(Fraction(3) / (xi * xi))
 

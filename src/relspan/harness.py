@@ -19,7 +19,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .graph_core import (WeightedGraph, clean_vertex_set, shortest_path_matrix)
 from .quadtree import build_quadtree, normalize_unit
-from .shadow import as_fraction, shadow_1d, shadow_quadtree
+from .shadow import (as_fraction, shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
+                     shadow_quadtree_candidate_sizes)
 from .spanner1d import coverage_totals, one_path_coverage
 from .spanner_euclidean import hd_config, hd_rank_permutations
 from .streams import substream
@@ -43,30 +44,42 @@ class AttackSpec:
 
 
 def _greedy_objective(g: WeightedGraph):
+    """The function B -> |shadow(B + {v})| for every vertex v that the
+    greedy-shadow attack maximizes."""
     kind = g.meta.get("kind", "")
     if g.meta.get("line"):
         alpha = as_fraction(g.meta.get("cert_alpha") or Fraction(1, 2))
 
-        def size_1d(bad: np.ndarray) -> int:
-            return shadow_1d(g.n, bad, alpha).size
-        return size_1d
+        def sizes_1d(bad: np.ndarray) -> np.ndarray:
+            return shadow_1d_candidate_sizes(g.n, bad, alpha)
+        return sizes_1d
     if g.positions is not None:
         gamma = as_fraction(g.meta.get("gamma") or (1 - as_fraction(g.meta["theta"]) / 2))
         normed, _, _ = normalize_unit(g.positions, margin=g.meta.get("norm_margin", 0.125))
         tree = build_quadtree(normed, already_normalized=True)
 
-        def size_tree(bad: np.ndarray) -> int:
-            return shadow_quadtree(tree, bad, gamma).size
-        return size_tree
+        def sizes_tree(bad: np.ndarray) -> np.ndarray:
+            return shadow_quadtree_candidate_sizes(tree, bad, gamma)
+        return sizes_tree
     raise ValueError(f"no greedy-shadow objective for construction {kind!r}")
 
 
 def generate_attack(spec: AttackSpec, g: WeightedGraph) -> np.ndarray:
-    """Deterministic failure set of size k (greedy may stop early when its
-    shadow objective saturates)."""
+    """Deterministic failure set of size k, 0 <= k <= n.
+
+    random: k distinct uniform ids; prefix: 0..k-1; interval: k consecutive
+    ids at a random start; ball: the k points nearest a random center.
+    greedy-shadow adds, k times, the vertex whose failure most enlarges a
+    shadow of B (lowest id on ties), and stops early once that shadow is
+    all n vertices.  The shadow is the certificate's own on line graphs
+    (the cert_alpha 1D shadow) and on bounded-spread graphs (the
+    gamma-quadtree shadow).  On ordering-union (hd) graphs it is only a
+    proxy: the quadtree shadow at gamma = 1 - theta/2, whereas certify uses
+    the ordering-union shadow.
+    """
     n = g.n
-    if spec.k > n:
-        raise ValueError("k exceeds the vertex count")
+    if not 0 <= spec.k <= n:
+        raise ValueError(f"k must be in [0, {n}], got {spec.k}")
     if spec.kind == "random-k":  # accepted alias
         spec = AttackSpec("random", spec.k, spec.seed)
     rng = substream(spec.seed, "attack", spec.kind)
@@ -85,20 +98,14 @@ def generate_attack(spec: AttackSpec, g: WeightedGraph) -> np.ndarray:
         order = np.lexsort((np.arange(n), d2))
         return np.sort(order[:spec.k]).astype(np.int64)
     if spec.kind == "greedy-shadow":
-        objective = _greedy_objective(g)
+        sizes_after = _greedy_objective(g)
         chosen: list[int] = []
-        current = 0
         for _ in range(spec.k):
-            best_v, best_size = -1, -1
-            taken = set(chosen)
-            remaining = [v for v in range(n) if v not in taken]
-            for v in remaining:
-                size = objective(np.asarray(chosen + [v], dtype=np.int64))
-                if size > best_size:
-                    best_v, best_size = v, size
-            chosen.append(best_v)
-            current = best_size
-            if current >= n:
+            sizes = sizes_after(np.asarray(chosen, dtype=np.int64))
+            sizes[chosen] = -1
+            best = int(np.argmax(sizes))  # the first maximum: lowest id
+            chosen.append(best)
+            if sizes[best] >= n:
                 break  # shadow saturated
         return np.sort(np.asarray(chosen, dtype=np.int64))
     raise ValueError(f"unknown attack kind {spec.kind!r}")

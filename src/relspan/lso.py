@@ -138,13 +138,6 @@ class Ordering:
                               self.d, W_BITS - t)
         return order * (1 << (self.d * (W_BITS - t))) + fine
 
-    def less(self, p, q, id_p: int = 0, id_q: int = 1) -> bool:
-        """Strict total order; equal quantizations compare by vertex id."""
-        kp, kq = self.key_one(p), self.key_one(q)
-        if kp != kq:
-            return kp < kq
-        return id_p < id_q
-
 
 def _step_v(delta: tuple[int, ...], t: int) -> tuple[int, ...]:
     """Coefficients v with sum(v*delta) = 1 mod m^d and c -> v.c bijective

@@ -53,13 +53,25 @@ class ShadowResult:
 # 1D shadow
 # ---------------------------------------------------------------------------
 
+_CANDIDATE_BLOCK = 1024  # candidate rows per block of shadow_1d_candidate_sizes
+
+
+def _prefix_sufmax(n: int, bad: np.ndarray, p: int, q: int,
+                   dtype=np.int64) -> tuple[np.ndarray, np.ndarray]:
+    """Bad positions score q-p and good ones -p.  prefix[i] is the score of
+    [0, i) and sufmax[i] = max over j >= i of prefix[j + 1], so i is in the
+    left shadow iff sufmax[i] >= prefix[i].  dtype object keeps Python ints."""
+    y = np.full(n, -p, dtype=dtype)
+    y[bad] += q
+    prefix = np.concatenate([np.zeros(1, dtype=dtype), np.cumsum(y)])
+    sufmax = np.maximum.accumulate(prefix[1:][::-1])[::-1]
+    return prefix, sufmax
+
+
 def _left_members_fast(n: int, bad: np.ndarray, p: int, q: int) -> np.ndarray:
     """Vector path: i is in the left shadow iff some run starting at i has
-    reweighted sum >= 0, where bad positions score q-p and good ones -p."""
-    y = np.full(n, -p, dtype=np.int64)
-    y[bad] += q
-    prefix = np.concatenate([[0], np.cumsum(y)])
-    sufmax = np.maximum.accumulate(prefix[1:][::-1])[::-1]
+    reweighted sum >= 0."""
+    prefix, sufmax = _prefix_sufmax(n, bad, p, q)
     return np.nonzero(sufmax >= prefix[:-1])[0].astype(np.int64)
 
 
@@ -126,6 +138,50 @@ def shadow_1d(n: int, B, alpha, side: str = "both", witness: bool = False) -> Sh
     return ShadowResult(a, n, side, members, witnesses if witness else None)
 
 
+def _left_gains(prefix: np.ndarray, sufmax: np.ndarray, q: int,
+                outside: np.ndarray) -> np.ndarray:
+    """Entry v counts the positions i <= v with outside[i] whose left test
+    passes once v fails as well: a failure at v lifts prefix[j + 1] by q for
+    every j >= v, so i <= v joins iff prefix[i] <= sufmax[v] + q.  Positions
+    i > v keep their test.  Meaningful for the v not yet failed."""
+    n = outside.size
+    cols = np.nonzero(outside)[0]
+    vals = prefix[cols]
+    limit = sufmax + q
+    counts = np.zeros(n, dtype=np.int64)
+    for lo in range(0, n, _CANDIDATE_BLOCK):
+        rows = np.arange(lo, min(n, lo + _CANDIDATE_BLOCK))
+        hit = (cols[None, :] <= rows[:, None]) & (vals[None, :] <= limit[rows, None])
+        counts[rows] = hit.sum(axis=1)
+    return counts
+
+
+def shadow_1d_candidate_sizes(n: int, B, alpha) -> np.ndarray:
+    """Entry v is |shadow_1d(n, B + {v}, alpha)| (both sides), for every v.
+
+    One pass over the prefix/suffix-max arrays of each side instead of n
+    shadow computations: a new failure at v only adds positions i <= v to
+    the left shadow and i >= v to the right one, v itself to both.
+    Integer-exact: int64 while every score stays below 2^62, the same code
+    on Python ints above that.
+    """
+    a = as_fraction(alpha)
+    if not (0 < a <= 1):
+        raise ValueError("alpha must be in (0, 1]")
+    bad = clean_vertex_set(B, n)
+    p, q = a.numerator, a.denominator
+    dtype = np.int64 if q * (n + 1) < _INT64_SAFE else object
+    left = _prefix_sufmax(n, bad, p, q, dtype)
+    right = _prefix_sufmax(n, n - 1 - bad, p, q, dtype)  # mirrored line
+    inside = (left[1] >= left[0][:-1]) | (right[1] >= right[0][:-1])[::-1]
+    outside = ~inside
+    old = int(inside.sum())
+    sizes = (old + _left_gains(*left, q, outside)
+             + _left_gains(*right, q, outside[::-1])[::-1] - outside)
+    sizes[bad] = old
+    return sizes
+
+
 def verify_witness(result: ShadowResult, B) -> bool:
     """Replay every recorded witness interval with pure integer counting."""
     if result.witnesses is None:
@@ -178,50 +234,100 @@ class QuadtreeShadow:
         return int(self.members.size)
 
 
-def shadow_quadtree(tree, B, gamma) -> QuadtreeShadow:
-    """Union of the point sets of all tree cells that are >= gamma failed.
+@dataclass(frozen=True)
+class _TreeArrays:
+    """Array form of a quadtree with m nodes; id m is a padding node."""
 
-    One bottom-up pass accumulates (size, failed-size) per node; membership
-    comparisons are integer-exact.
-    """
+    size: np.ndarray  # (m + 1,) points per node, 0 for the padding node
+    postorder: np.ndarray  # node ids in Quadtree.postorder() order
+    paths: np.ndarray  # (n_points, height): each point's cells, root first, padded with m
+
+    @property
+    def pad(self) -> int:
+        return self.size.size - 1
+
+    def count(self, ids: np.ndarray) -> np.ndarray:
+        """Per node (padding included, as 0), how many of the points ids it holds."""
+        counts = np.bincount(self.paths[ids].ravel(), minlength=self.pad + 1)
+        counts[self.pad] = 0
+        return counts
+
+
+def _tree_arrays(tree) -> _TreeArrays:
+    """The tree's array form, built on first use and kept on the tree, so
+    only trees whose shadow is asked for pay for it."""
+    arrays = getattr(tree, "_shadow_arrays", None)
+    if arrays is None:
+        postorder = tree.postorder()
+        level: dict[int, int] = {}
+        for idx in reversed(postorder):  # parents before their children
+            parent = tree.nodes[idx].parent
+            level[idx] = 0 if parent is None else level[parent] + 1
+        paths = np.full((tree.n_points, max(level.values()) + 1), len(tree.nodes),
+                        dtype=np.int64)
+        for idx, depth in level.items():
+            paths[tree.nodes[idx].point_ids, depth] = idx
+        size = np.array([len(node.point_ids) for node in tree.nodes] + [0], dtype=np.int64)
+        arrays = _TreeArrays(size, np.asarray(postorder, dtype=np.int64), paths)
+        tree._shadow_arrays = arrays
+    return arrays
+
+
+def _at_least(fraction: Fraction, part: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """part >= fraction * whole, elementwise and exact: int64 products while
+    they stay below 2^62, Python-int products above."""
+    p, q = fraction.numerator, fraction.denominator
+    if q * (int(whole.max(initial=0)) + 1) >= _INT64_SAFE:
+        part, whole = part.astype(object), whole.astype(object)
+    return q * part >= p * whole
+
+
+def _quadtree_failures(tree, B, gamma):
+    """(gamma, the tree's array form, failed points of B per cell, mask of
+    the cells that are >= gamma failed, B as sorted ids)."""
     g = as_fraction(gamma)
     if not (0 < g <= 1):
         raise ValueError("gamma must be in (0, 1]")
     bad = clean_vertex_set(B, tree.n_points)
-    bad_mark = np.zeros(tree.n_points, dtype=bool)
-    bad_mark[bad] = True
-    p, q = g.numerator, g.denominator
-
-    size = [0] * len(tree.nodes)
-    nbad = [0] * len(tree.nodes)
-    shadowed: list[int] = []
-    for idx in tree.postorder():
-        node = tree.nodes[idx]
-        if node.children:
-            size[idx] = sum(size[c] for c in node.children)
-            nbad[idx] = sum(nbad[c] for c in node.children)
-        else:
-            size[idx] = len(node.point_ids)
-            nbad[idx] = int(bad_mark[node.point_ids].sum())
-        if size[idx] and q * nbad[idx] >= p * size[idx]:
-            shadowed.append(idx)
-
-    shadowed_set = set(shadowed)
-    maximal = [idx for idx in shadowed
-               if not _has_shadowed_ancestor(tree, idx, shadowed_set)]
-    member_ids = [tree.nodes[idx].point_ids for idx in maximal]
-    members = (np.unique(np.concatenate(member_ids)) if member_ids
-               else np.empty(0, dtype=np.int64))
-    return QuadtreeShadow(g, members, shadowed, maximal)
+    arrays = _tree_arrays(tree)
+    nbad = arrays.count(bad)
+    return g, arrays, nbad, (arrays.size > 0) & _at_least(g, nbad, arrays.size), bad
 
 
-def _has_shadowed_ancestor(tree, idx: int, shadowed: set[int]) -> bool:
-    cur = tree.nodes[idx].parent
-    while cur is not None:
-        if cur in shadowed:
-            return True
-        cur = tree.nodes[cur].parent
-    return False
+def shadow_quadtree(tree, B, gamma) -> QuadtreeShadow:
+    """Union of the point sets of all tree cells that are >= gamma failed.
+
+    Failed points are counted per cell along each point's root path;
+    membership comparisons are integer-exact.  shadowed_nodes lists the
+    shadowed cells in Quadtree.postorder() order, maximal_nodes those of
+    them with no shadowed ancestor, in the same order.
+    """
+    g, arrays, _, shadowed, _ = _quadtree_failures(tree, B, gamma)
+    on_path = shadowed[arrays.paths]
+    covered = np.nonzero(on_path.any(axis=1))[0]
+    maximal = np.zeros(arrays.size.size, dtype=bool)  # a covered point's top shadowed cell
+    maximal[arrays.paths[covered, on_path[covered].argmax(axis=1)]] = True
+    post = arrays.postorder
+    return QuadtreeShadow(g, covered.astype(np.int64), post[shadowed[post]].tolist(),
+                          post[maximal[post]].tolist())
+
+
+def shadow_quadtree_candidate_sizes(tree, B, gamma) -> np.ndarray:
+    """Entry v is |shadow_quadtree(tree, B + {v}, gamma).members|, for every
+    point v.
+
+    A new failure at v adds one failed point to each cell on v's root path
+    and to no other cell, so the shadow gains the points of the highest cell
+    on that path that reaches gamma; the number of them not yet shadowed
+    grows toward the root, so it is the largest such count on the path.
+    """
+    g, arrays, nbad, shadowed, bad = _quadtree_failures(tree, B, gamma)
+    covered = np.nonzero(shadowed[arrays.paths].any(axis=1))[0]
+    new = arrays.size - arrays.count(covered)
+    gain = np.where(_at_least(g, nbad + 1, arrays.size), new, 0)
+    sizes = covered.size + gain[arrays.paths].max(axis=1)
+    sizes[bad] = covered.size
+    return sizes
 
 
 # ---------------------------------------------------------------------------

@@ -36,34 +36,6 @@ def pow2_at_least(x) -> int:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlockTree:
-    """The full binary tree of blocks over [0, pow2(n)).
-
-    Level i partitions the padded line into consecutive blocks of size 2^i;
-    a block's parent is the union of it and its sibling.
-    """
-
-    n_padded: int
-
-    def __post_init__(self):
-        if self.n_padded < 1 or self.n_padded & (self.n_padded - 1):
-            raise ValueError("padded size must be a power of two")
-
-    @property
-    def height(self) -> int:
-        return self.n_padded.bit_length() - 1
-
-    def blocks_at_level(self, level: int) -> list[tuple[int, int]]:
-        size = 1 << level
-        return [(k * size, (k + 1) * size - 1)
-                for k in range(self.n_padded >> level)]
-
-    def block_of(self, v: int, level: int) -> tuple[int, int]:
-        idx = v >> level
-        return (idx << level, ((idx + 1) << level) - 1)
-
-
-@dataclass
 class CanonicalWalk:
     """Ascending and descending block sequences between two leaves.
 

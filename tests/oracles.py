@@ -194,3 +194,65 @@ def exact_path_bruteforce(n: int, edges, s: int, t: int, bad=(),
 def canonical_edges_bruteforce(pairs) -> list[tuple[int, int]]:
     """The sorted set of (min, max) pairs, self-loops dropped."""
     return sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+
+
+def shadow_quadtree_walk(tree, bad, gamma: Fraction):
+    """(members, shadowed nodes, maximal nodes) of the gamma-quadtree shadow
+    by one bottom-up walk.
+
+    The walk is the postorder of a stack that pushes each node's children in
+    order, so it finishes the last child's subtree first.  A node is
+    shadowed when at least a gamma fraction of its points failed; it is
+    maximal when no ancestor is shadowed.
+    """
+    bad = set(bad)
+    p, q = gamma.numerator, gamma.denominator
+    order: list[int] = []
+
+    def visit(idx):
+        for child in reversed(tree.nodes[idx].children):
+            visit(child)
+        order.append(idx)
+    visit(tree.root)
+    shadowed = []
+    for idx in order:
+        ids = tree.nodes[idx].point_ids.tolist()
+        failed = sum(1 for pid in ids if pid in bad)
+        if ids and q * failed >= p * len(ids):
+            shadowed.append(idx)
+
+    def has_shadowed_ancestor(idx):
+        cur = tree.nodes[idx].parent
+        while cur is not None:
+            if cur in shadowed:
+                return True
+            cur = tree.nodes[cur].parent
+        return False
+    maximal = [idx for idx in shadowed if not has_shadowed_ancestor(idx)]
+    members = sorted({pid for idx in maximal for pid in tree.nodes[idx].point_ids.tolist()})
+    return members, shadowed, maximal
+
+
+def candidate_sizes_bruteforce(shadow_size, n: int, bad) -> list[int]:
+    """shadow_size(B + {v}) for every v, one full recomputation per vertex."""
+    bad = sorted(set(bad))
+    return [shadow_size(sorted(set(bad) | {v})) for v in range(n)]
+
+
+def greedy_shadow_bruteforce(shadow_size, n: int, k: int) -> list[int]:
+    """The greedy-shadow attack by one full shadow recomputation per
+    candidate: k times, add the vertex whose failure gives the largest
+    shadow (the lowest id on ties); stop once the shadow holds all n."""
+    chosen: list[int] = []
+    for _ in range(k):
+        best_v, best_size = -1, -1
+        for v in range(n):
+            if v in chosen:
+                continue
+            size = shadow_size(chosen + [v])
+            if size > best_size:
+                best_v, best_size = v, size
+        chosen.append(best_v)
+        if best_size >= n:
+            break
+    return sorted(chosen)

@@ -165,6 +165,16 @@ def test_load_graph_rejects_out_of_range_id(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_attack_negative_k_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "h.edges"
+    assert run(["build", "1d-const", "--n", "16", "--seed", "3", "-o", out]) == 0
+    capsys.readouterr()
+    assert run(["attack", "--graph", out, "--kind", "prefix", "--k", "-3",
+                "-o", tmp_path / "bad.txt"]) == 2
+    assert capsys.readouterr().err.startswith("error: k must be in [0, 16], got -3")
+    assert not (tmp_path / "bad.txt").exists()
+
+
 def test_loss_curve_cli(tmp_path):
     out = tmp_path / "h.edges"
     run(["build", "1d-const", "--n", "64", "--seed", "8", "-o", out])

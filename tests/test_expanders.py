@@ -1,10 +1,11 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from relspan.expanders import (ExpanderParams, bipartite_degree_constant,
+from relspan.expanders import (bipartite_degree_constant,
                                bipartite_sample_plan, build_bipartite_expander,
                                build_reliable_connectivity, build_strong_expander,
                                build_verified_bipartite,
@@ -12,7 +13,39 @@ from relspan.expanders import (ExpanderParams, bipartite_degree_constant,
                                verify_expansion_bruteforce,
                                verify_expansion_sampled, verify_strong_expansion)
 from relspan.graph_core import WeightedGraph, shortest_path_length
+from relspan.shadow import as_fraction
 from relspan.streams import substream
+
+
+@dataclass
+class ExpanderParams:
+    """The expander parameter ranges: xi, beta in (0, 1), theta in (0, 1/2),
+    alpha an integer > 1 and a degree constant override >= 1."""
+
+    xi: Fraction | None = None
+    alpha: int | None = None
+    beta: Fraction | None = None
+    theta: Fraction | None = None
+    seed: int = 0
+    degree_constant_override: int | None = None
+
+    def __post_init__(self):
+        if self.xi is not None:
+            self.xi = as_fraction(self.xi)
+            if not (0 < self.xi < 1):
+                raise ValueError("xi must be in (0, 1)")
+        if self.alpha is not None and self.alpha <= 1:
+            raise ValueError("alpha must be an integer > 1")
+        if self.beta is not None:
+            self.beta = as_fraction(self.beta)
+            if not (0 < self.beta < 1):
+                raise ValueError("beta must be in (0, 1)")
+        if self.theta is not None:
+            self.theta = as_fraction(self.theta)
+            if not (0 < self.theta < Fraction(1, 2)):
+                raise ValueError("theta must be in (0, 1/2)")
+        if self.degree_constant_override is not None and self.degree_constant_override < 1:
+            raise ValueError("degree constant override must be >= 1")
 
 
 def test_params_validation():

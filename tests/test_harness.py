@@ -54,6 +54,38 @@ def test_attack_k_out_of_range(h_graph):
         generate_attack(AttackSpec("random", 300, seed=0), h_graph)
 
 
+@pytest.mark.parametrize("kind", ["random", "prefix", "interval", "ball", "greedy-shadow"])
+@pytest.mark.parametrize("k", [-3, -1, 65])
+def test_attack_rejects_k_outside_0_to_n(bs_graph, kind, k):
+    with pytest.raises(ValueError, match=r"k must be in \[0, 64\]"):
+        generate_attack(AttackSpec(kind, k, seed=0), bs_graph)
+
+
+# greedy-shadow ids recorded from the per-candidate loop the one-pass scoring
+# replaced, so the attack and its test oracle cannot drift together
+GREEDY_GOLDEN_H128 = [32]
+GREEDY_GOLDEN_GRID = {4: [3, 4, 7, 17],
+                      8: [3, 4, 7, 17, 22, 24, 29, 32],
+                      48: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 17, 20, 22, 24, 29, 32,
+                           33, 34, 36, 38, 39, 41]}
+
+
+def test_greedy_ids_golden_on_the_line():
+    g = build_H(128, seed=6)
+    for seed in range(5):
+        bad = generate_attack(AttackSpec("greedy-shadow", 8, seed=seed), g)
+        assert bad.tolist() == GREEDY_GOLDEN_H128
+
+
+def test_greedy_ids_golden_on_the_quadtree():
+    # at the builder's gamma = 7/8 every greedy step takes the lowest free id;
+    # at 1/2 two-point cells with one failure join the shadow
+    g = build_bounded_spread_spanner(jittered_grid(6, 8, seed=20), 0.5, "1/4", seed=3)
+    g.meta["gamma"] = "1/2"
+    for k, ids in GREEDY_GOLDEN_GRID.items():
+        assert generate_attack(AttackSpec("greedy-shadow", k), g).tolist() == ids
+
+
 def test_greedy_beats_random_usually():
     g = build_H(128, seed=6)
     alpha = g.meta["cert_alpha"]

