@@ -99,11 +99,17 @@ class PointSet:
 def load_points(path) -> PointSet:
     """One point per line, whitespace-separated decimal coordinates."""
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
+    first = None  # (line number, coordinate count) of the first point
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
             continue
-        rows.append([float(tok) for tok in line.split()])
+        if first is None:
+            first = (lineno, len(tokens))
+        elif len(tokens) != first[1]:
+            raise ValueError(f"{path}: line {lineno} has {len(tokens)} coordinates, "
+                             f"line {first[0]} has {first[1]}")
+        rows.append([float(tok) for tok in tokens])
     if not rows:
         raise ValueError(f"no points in {path}")
     return PointSet(np.asarray(rows, dtype=np.float64))

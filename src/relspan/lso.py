@@ -15,11 +15,19 @@ to ||p-q|| and their cell offset Delta is in the family's band, so the points
 strictly between them under that ordering all sit inside the two cells, i.e.
 inside small balls around p and q.  The family is deliberately over-complete;
 its exact size M is recorded and feeds every downstream budget.
+
+``family_size`` counts M without listing any ordering: the step offsets of a
+scale are the lattice points of a box intersected with a spherical band, and
+their number follows from a histogram of squared norms over d - 1 axes plus
+prefix counts on the last one, once per distinct box radius.
+``build_ordering_family`` enumerates the same offsets to build the orderings.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +36,7 @@ import numpy as np
 from .streams import substream
 
 W_BITS = 32  # fixed-point quantization per axis; caps usable spread at 2^32
+T_MAX = 20  # finest grid-stepping scale t, whose cells have side 2^-t
 
 _M1 = np.uint64(0x5555555555555555)
 _M2 = np.uint64(0xAAAAAAAAAAAAAAAA)
@@ -171,6 +180,9 @@ def _pow2_at_least(x: float) -> int:
 
 def family_shape(d: int, sigma) -> dict:
     """All structural parameters of the family for (d, sigma)."""
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise TypeError(f"d must be an int, got {d!r}")
+    d = int(d)
     sigma = float(Fraction(sigma)) if isinstance(sigma, str) else float(sigma)
     if not (0 < sigma < 1):
         raise ValueError("sigma must be in (0, 1)")
@@ -179,10 +191,16 @@ def family_shape(d: int, sigma) -> dict:
     root_d = math.sqrt(d)
     band_lo = 0.72 * root_d / sigma
     band_hi = 1.12 * 2.0 * root_d / sigma
+    # int64 cell arithmetic needs 3t <= 62 bits; scales beyond T_MAX would
+    # serve pairs below 1e-6 separation, outside the supported regime anyway.
+    # Offsets at scale t are at most 2^t - 1 per axis, so a band starting past
+    # 2^T_MAX - 1 could leave the family without any step ordering.
+    if band_lo > (1 << T_MAX) - 1:
+        sigma_min = 0.72 * root_d / ((1 << T_MAX) - 1)
+        raise ValueError(f"sigma = {sigma:.6g} is below the smallest supported "
+                         f"sigma, {sigma_min:.6g} for d = {d}")
     t_min = max(1, math.ceil(math.log2(band_lo)))
-    # int64 cell arithmetic needs 3t <= 62 bits; scales beyond 20 would serve
-    # pairs below 1e-6 separation, outside the supported regime anyway
-    t_max = min(math.ceil(math.log2(band_lo / 0.01)), 20)
+    t_max = min(math.ceil(math.log2(band_lo / 0.01)), T_MAX)
     lattice = min(_pow2_at_least(math.ceil(1.0 / sigma)), 4)
     reflections = min(max(math.ceil(math.log2(1.0 / sigma)), 1), 1 << d)
     return {
@@ -225,12 +243,61 @@ def _deltas_for_scale(shape: dict, t: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _box_band_count(d: int, r: int, s_lo: int, s_hi: int, step: int) -> int:
+    """Number of x in (step Z)^d with |x_a| <= r and s_lo <= |x|^2 <= s_hi.
+
+    The squared norms of the first d - 1 axes are collected as a histogram
+    (distinct value, multiplicity), one axis at a time, dropping values past
+    s_hi; the last axis is then counted through its prefix counts
+    F(k) = #{y : |y| <= r, y^2 <= k}.
+    """
+    sq = (step * np.arange(r // step + 1, dtype=np.int64)) ** 2
+    # counts are exact in int64 while the whole box fits, else Python ints
+    dtype = np.int64 if (2 * r + 1) ** d < 1 << 63 else object
+    mult = np.full(sq.size, 2, dtype=dtype)
+    mult[0] = 1
+    vals = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=dtype)
+    for _ in range(d - 1):
+        sums = (vals[:, None] + sq[None, :]).ravel()
+        prods = (counts[:, None] * mult[None, :]).ravel()
+        keep = sums <= s_hi
+        sums, prods = sums[keep], prods[keep]
+        order = np.argsort(sums)
+        sums, prods = sums[order], prods[order]
+        starts = np.flatnonzero(np.r_[True, sums[1:] != sums[:-1]])
+        vals, counts = sums[starts], np.add.reduceat(prods, starts)
+
+    def prefix(k: np.ndarray) -> np.ndarray:
+        return np.maximum(2 * np.searchsorted(sq, k, side="right") - 1, 0)
+
+    per_val = prefix(s_hi - vals) - prefix(s_lo - 1 - vals)
+    return int((counts * per_val.astype(dtype)).sum())
+
+
 def family_size(d: int, sigma) -> int:
-    """Exact M without materializing the orderings."""
+    """Exact M, counted in closed form per scale instead of enumerated.
+
+    The step orderings at scale t are the offsets x of ``_deltas_for_scale``:
+    x in [-r, r]^d with r = min(floor(hi) + 1, 2^t - 1), lo^2 <= |x|^2 <= hi^2,
+    not all coordinates even, one of x and -x.  Since 0 is outside the band,
+    their number is (A - E) / 2, where A counts the box-and-band vectors and
+    E those among them with even coordinates.  The count depends on t only
+    through r, which takes at most a few values, so each r is counted once,
+    in time and memory of order r^(d-1).
+    """
     shape = family_shape(d, sigma)
+    d = shape["d"]
+    lo, hi = shape["band"]
+    # integer bounds equivalent to lo*lo <= s <= hi*hi for integer s
+    s_lo, s_hi = math.ceil(lo * lo), math.floor(hi * hi)
+    scales_per_r = Counter(min(int(hi) + 1, (1 << t) - 1)
+                           for t in range(shape["t_min"], shape["t_max"] + 1))
     m = shape["lattice"] ** d * shape["reflections"]
-    for t in range(shape["t_min"], shape["t_max"] + 1):
-        m += len(_deltas_for_scale(shape, t))
+    for r, scales in scales_per_r.items():
+        a = _box_band_count(d, r, s_lo, s_hi, 1)
+        e = _box_band_count(d, r, s_lo, s_hi, 2)
+        m += scales * (a - e) // 2
     return m
 
 

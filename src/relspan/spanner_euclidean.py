@@ -41,6 +41,8 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     coords = _coords(points)
     ps = PointSet(coords)
     n = ps.n
+    if n < 2:
+        raise ValueError("need at least 2 points")
     theta = as_fraction(theta)
     if not (0 < theta < Fraction(1, 2)):
         raise ValueError("theta must be in (0, 1/2)")

@@ -8,8 +8,11 @@ with the library paths under test.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
+
+from relspan.lso import family_shape
 
 
 def floyd_warshall(n: int, edges, bad=()) -> list[list[float]]:
@@ -256,3 +259,42 @@ def greedy_shadow_bruteforce(shadow_size, n: int, k: int) -> list[int]:
         if best_size >= n:
             break
     return sorted(chosen)
+
+
+def family_size_bruteforce(d: int, sigma) -> int:
+    """M by listing every step offset of every scale: each x in [-r, r]^d
+    with r = min(floor(hi) + 1, 2^t - 1) whose squared norm is in the band,
+    not all coordinates even, kept when x >= -x in tuple order."""
+    shape = family_shape(d, sigma)
+    lo, hi = shape["band"]
+    lo2, hi2 = lo * lo, hi * hi
+    m = shape["lattice"] ** d * shape["reflections"]
+    for t in range(shape["t_min"], shape["t_max"] + 1):
+        r = min(int(hi) + 1, (1 << t) - 1)
+        for x in itertools.product(range(-r, r + 1), repeat=d):
+            if all(c % 2 == 0 for c in x):
+                continue
+            if not lo2 <= sum(c * c for c in x) <= hi2:
+                continue
+            if x >= tuple(-c for c in x):
+                m += 1
+    return m
+
+
+def box_band_count_bruteforce(d: int, r: int, s_lo: int, s_hi: int, step: int) -> int:
+    """Number of x in (step Z)^d with |x_a| <= r and s_lo <= |x|^2 <= s_hi,
+    read off the generating polynomial (sum over |y| <= r of z^(y^2))^d,
+    truncated past z^s_hi, in Python ints."""
+    axis = [0] * (s_hi + 1)
+    for y in range(-(r // step), r // step + 1):
+        if (step * y) ** 2 <= s_hi:
+            axis[(step * y) ** 2] += 1
+    terms = [(j, c) for j, c in enumerate(axis) if c]
+    poly = [1] + [0] * s_hi
+    for _ in range(d):
+        prod = [0] * (s_hi + 1)
+        for j, c in terms:
+            for k in range(j, s_hi + 1):
+                prod[k] += c * poly[k - j]
+        poly = prod
+    return sum(poly[max(s_lo, 0):])

@@ -9,7 +9,7 @@ import pytest
 from relspan.cli import dispatch, load_graph
 from relspan.graph_core import save_points
 
-from test_spanner_euclidean import jittered_grid
+from test_spanner_euclidean import jittered_grid, largest_c2
 
 
 def run(argv):
@@ -208,6 +208,28 @@ def test_build_euclidean_targets(tmp_path):
     bad.write_text("4\n")
     assert run(["certify", "--graph", tmp_path / "bs.edges", "--bad", bad]) == 0
     assert run(["certify", "--graph", tmp_path / "hd.edges", "--bad", bad]) == 0
+
+
+def test_build_hd_sigma_limit(tmp_path, capsys):
+    pfile = tmp_path / "pts.txt"
+    save_points(jittered_grid(4, 4, seed=5), pfile)
+    c2 = largest_c2(2, 0.5)
+    argv = ["build", "hd", "--points", pfile, "--eps", "0.5", "--theta", "0.5"]
+    assert run(argv + ["--c2", str(c2), "-o", tmp_path / "ok.edges"]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--c2", str(c2 + 1), "-o", tmp_path / "bad.edges"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sigma = ") and "smallest supported sigma" in err
+    assert not (tmp_path / "bad.edges").exists()
+
+
+def test_build_rejects_ragged_points(tmp_path, capsys):
+    pfile = tmp_path / "pts.txt"
+    pfile.write_text("0.0 0.0\n1.0 0.5\n0.5\n", encoding="utf-8")
+    assert run(["build", "hd", "--points", pfile, "--eps", "0.5", "--theta", "0.5",
+                "-o", tmp_path / "hd.edges"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {pfile}: line 3 has 1 coordinates, line 1 has 2")
 
 
 def test_lso_cli(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relspan.graph_core import (PointSet, WeightedGraph, load_edge_list,
-                                monotone_reach_1d, shortest_path_length,
+                                load_points, monotone_reach_1d, shortest_path_length,
                                 shortest_path_matrix)
 from relspan.streams import substream
 
@@ -175,3 +175,12 @@ def test_pointset_rejects_duplicates():
     pts = PointSet(np.array([[0.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         _ = pts.closest_pair
+
+
+def test_load_points_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "pts.txt"
+    path.write_text("\n0.0 1.0\n2.0 3.0\n\n4.0 5.0 6.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 5 has 3 coordinates, line 2 has 2"):
+        load_points(path)
+    path.write_text("0.0 1.0\n2.0 3.0\n4.0 5.0\n", encoding="utf-8")
+    assert load_points(path).coords.shape == (3, 2)

@@ -1,9 +1,32 @@
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from relspan.lso import (Ordering, build_ordering_family, check_lso_property,
-                         family_shape, family_size, sort_by_ordering)
+from relspan.lso import (Ordering, _box_band_count, build_ordering_family,
+                         check_lso_property, family_shape, family_size,
+                         sort_by_ordering)
 from relspan.streams import substream
+
+from oracles import box_band_count_bruteforce, family_size_bruteforce
+
+# M recorded from the enumerating count that family_size replaced
+GOLDEN_M = {
+    (1, 0.01): 492,
+    (1, 0.5): 9,
+    (2, 0.99): 78,
+    (2, 0.25): 1122,
+    (2, 0.5 / 16): 70068,
+    (2, 0.99 / 16): 17880,
+    (2, 0.5 / 128): 4480980,
+    (3, 0.5): 4959,
+    (3, 0.25): 40970,
+    (3, 0.99 / 16): 2717466,
+    (4, 0.5): 102812,
+}
 
 
 def test_family_shape_and_size_recorded():
@@ -158,3 +181,72 @@ def test_d3_family_smoke():
     # witness search works in 3D as well
     res = check_lso_property(fam, pts[0], pts[1], sample_count=60, seed=1)
     assert res.ok in (True, False)
+
+
+@pytest.mark.parametrize("d, sigma", sorted(GOLDEN_M))
+def test_family_size_golden(d, sigma):
+    assert family_size(d, sigma) == GOLDEN_M[(d, sigma)]
+
+
+# sigma floors per d keep the brute-force enumeration to about 1e5 offsets
+@given(st.sampled_from([(1, 0.005), (2, 0.08), (3, 0.35)])
+       .flatmap(lambda case: st.tuples(st.just(case[0]),
+                                       st.floats(case[1], 0.99))))
+def test_family_size_matches_bruteforce(case):
+    d, sigma = case
+    shape = family_shape(d, sigma)
+    hi = shape["band"][1]
+    cut = [(1 << t) - 1 < int(hi) + 1 for t in range(shape["t_min"], shape["t_max"] + 1)]
+    assert any(cut) and not all(cut)  # scales with r cut to 2^t - 1 and with r uncut
+    assert family_size(d, sigma) == family_size_bruteforce(d, sigma)
+
+
+@given(st.integers(1, 8), st.integers(1, 300), st.integers(0, 250),
+       st.integers(0, 250), st.sampled_from([1, 2]))
+@example(8, 300, 17, 250, 1)  # (2r+1)^d >= 2^63: the Python-int counts
+@example(8, 300, 0, 250, 2)
+def test_box_band_count_matches_polynomial(d, r, s_lo, width, step):
+    s_hi = s_lo + width
+    assert (_box_band_count(d, r, s_lo, s_hi, step)
+            == box_band_count_bruteforce(d, r, s_lo, s_hi, step))
+
+
+@pytest.mark.parametrize("d, sigma", [(1, 0.01), (2, 0.99 / 16), (3, 0.25)])
+def test_built_family_has_the_counted_size(d, sigma):
+    assert build_ordering_family(d, sigma).M == family_size(d, sigma) == GOLDEN_M[(d, sigma)]
+
+
+def test_family_size_d3_is_fast():
+    start = time.perf_counter()
+    assert family_size(3, 0.99 / 16) == 2717466
+    assert time.perf_counter() - start < 1.0
+
+
+def smallest_sigma(d: int) -> float:
+    """The smallest float sigma whose band starts at most 2^20 - 1 grid
+    cells out: 0.72 sqrt(d) / sigma <= 2^20 - 1, evaluated as family_shape
+    evaluates it."""
+    limit = 2 ** 20 - 1
+    sigma = 0.72 * math.sqrt(d) / limit
+    while 0.72 * math.sqrt(d) / sigma > limit:
+        sigma = math.nextafter(sigma, 1.0)
+    while 0.72 * math.sqrt(d) / math.nextafter(sigma, 0.0) <= limit:
+        sigma = math.nextafter(sigma, 0.0)
+    return sigma
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sigma_limit(d):
+    sigma = smallest_sigma(d)
+    shape = family_shape(d, sigma)
+    assert shape["t_min"] == shape["t_max"] == 20
+    # the family still holds step orderings at the limit
+    assert family_size(d, sigma) > shape["lattice"] ** d * shape["reflections"]
+    with pytest.raises(ValueError, match="smallest supported sigma"):
+        family_size(d, math.nextafter(sigma, 0.0))
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, "2", None])
+def test_dimension_must_be_an_int(d):
+    with pytest.raises(TypeError, match="d must be an int"):
+        family_shape(d, 0.5)

@@ -48,6 +48,12 @@ def test_bounded_spread_two_points():
     assert g.w[0] == pytest.approx(np.linalg.norm(pts[1] - pts[0]))
 
 
+@pytest.mark.parametrize("pts", [np.array([[0.5]]), np.array([[0.5, 0.5]])])
+def test_bounded_spread_needs_two_points(pts):
+    with pytest.raises(ValueError, match="need at least 2 points"):
+        build_bounded_spread_spanner(pts, 0.5, "1/4")
+
+
 def test_bounded_spread_parameter_validation():
     pts = jittered_grid(4, 4)
     with pytest.raises(ValueError):
@@ -112,6 +118,29 @@ def test_hd_config_formulas():
     assert simple["rounds"] == 1
     assert simple["sigma"] == 0.5 / (16 * 8)
     assert simple["theta_prime"] == Fraction(1, 2) / simple["M"]
+
+
+def largest_c2(d: int, epsilon: float) -> int:
+    """The largest c2 whose sigma = epsilon / c2 keeps the family's band
+    within 2^20 - 1 grid cells: 0.72 sqrt(d) / sigma <= 2^20 - 1."""
+    def ok(c2):
+        return 0.72 * math.sqrt(d) / (epsilon / c2) <= 2 ** 20 - 1
+    c2 = int(epsilon * (2 ** 20 - 1) / (0.72 * math.sqrt(d)))
+    while not ok(c2):
+        c2 -= 1
+    while ok(c2 + 1):
+        c2 += 1
+    return c2
+
+
+def test_hd_config_sigma_limit():
+    c2 = largest_c2(2, 0.5)
+    cfg = hd_config(100, 2, 0.5, "1/2", c2=c2)
+    assert cfg["theta_prime"] == Fraction(1, 2) / (3 * cfg["rounds"] * cfg["M"])
+    assert cfg["M"] > 10 ** 11  # step orderings kept, not only the 64 Morton orders
+    for past in (c2 + 1, 10 ** 7):
+        with pytest.raises(ValueError, match="smallest supported sigma"):
+            hd_config(100, 2, 0.5, "1/2", c2=past)
 
 
 def test_hd_minimal_contains_all_pairs_edge():
