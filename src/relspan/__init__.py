@@ -16,7 +16,7 @@ from .shadow import (ShadowResult, check_shadow_bounds, cone_mark_unsafe,
                      shadow_1d, shadow_balls_oracle, shadow_quadtree)
 from .spanner1d import (CanonicalWalk, build_G_theta, build_H, canonical_walk,
                         find_exact_path)
-from .quadtree import Quadtree, WspdPair, build_quadtree, build_wspd
+from .quadtree import Quadtree, WspdPairs, build_quadtree, build_wspd
 from .lso import OrderingFamily, build_ordering_family, check_lso_property
 from .spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
 from .harness import AttackSpec, ReliabilityReport, certify, generate_attack, loss_curve
@@ -31,7 +31,7 @@ __all__ = [
     "shadow_1d", "shadow_balls_oracle", "shadow_quadtree",
     "CanonicalWalk", "build_G_theta", "build_H", "canonical_walk",
     "find_exact_path",
-    "Quadtree", "WspdPair", "build_quadtree", "build_wspd",
+    "Quadtree", "WspdPairs", "build_quadtree", "build_wspd",
     "OrderingFamily", "build_ordering_family", "check_lso_property",
     "build_bounded_spread_spanner", "build_hd_spanner",
     "AttackSpec", "ReliabilityReport", "certify", "generate_attack", "loss_curve",

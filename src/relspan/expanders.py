@@ -18,30 +18,66 @@ from fractions import Fraction
 import numpy as np
 
 from .graph_core import EdgeSink, WeightedGraph
-from .shadow import as_fraction
+from .shadow import _INT64_SAFE, as_fraction
 from .streams import subseed, substream
 
 _MAX_DRAWS = 200_000_000  # refuse sample plans beyond this many draws
+_BLOCK_BATCH = 1 << 20  # pairs of saturated blocks marked per batch
 
 
 def bipartite_degree_constant(xi: Fraction) -> int:
     return math.ceil(Fraction(3) / (xi * xi))
 
 
+def _sample_plan(a, b, xi: Fraction, c_override: int | None) -> dict:
+    """The plan formula, on Python ints or elementwise on integer arrays."""
+    c = c_override if c_override is not None else bipartite_degree_constant(xi)
+    ntot = a + b
+    ell_left = c * -(-ntot // a)
+    ell_right = c * -(-ntot // b)
+    return {
+        "c": int(c),
+        "ell_left": ell_left,
+        "ell_right": ell_right,
+        "budget": a * ell_left + b * ell_right,
+        "saturated": (ell_left >= b) & (ell_right >= a),
+    }
+
+
+def bipartite_sample_plans(a, b, xi: Fraction, c_override: int | None = None) -> dict:
+    """Per-vertex sample counts, budgets and saturation for the blocks with
+    sides a[i] x b[i], as arrays.  Exact: int64 while every budget stays
+    below 2^62, Python ints (dtype object) above."""
+    c = c_override if c_override is not None else bipartite_degree_constant(xi)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    # a * c * ceil((a + b) / a) < 2 c (a + b), and likewise on the right
+    if 4 * c * (int((a + b).max(initial=0)) + 1) >= _INT64_SAFE:
+        a, b = a.astype(object), b.astype(object)
+    plans = _sample_plan(a, b, xi, c)
+    plans["saturated"] = plans["saturated"].astype(bool)
+    return plans
+
+
 def bipartite_sample_plan(a: int, b: int, xi: Fraction,
                           c_override: int | None = None) -> dict:
     """Per-vertex sample counts and the saturation decision for sides a, b."""
-    c = c_override if c_override is not None else bipartite_degree_constant(xi)
-    ntot = a + b
-    ell_left = c * math.ceil(ntot / a)
-    ell_right = c * math.ceil(ntot / b)
-    return {
-        "c": int(c),
-        "ell_left": int(ell_left),
-        "ell_right": int(ell_right),
-        "budget": int(a * ell_left + b * ell_right),
-        "saturated": ell_left >= b and ell_right >= a,
-    }
+    return _sample_plan(int(a), int(b), xi, c_override)
+
+
+def _sample_into_sink(sink, lids: np.ndarray, rids: np.ndarray, ell_left: int,
+                      ell_right: int, budget: int, seed: int, labels: tuple) -> None:
+    """The sampled expander between lids and rids: each left vertex draws
+    ell_left right neighbors from substream (seed, *labels, "L"), and each
+    right vertex ell_right left ones from (seed, *labels, "R")."""
+    if budget > _MAX_DRAWS:
+        raise ValueError(f"sampling budget {budget} exceeds the draw limit; "
+                         "use degree_constant_override for experiments at this size")
+    a, b = lids.size, rids.size
+    jl = substream(seed, *labels, "L").integers(0, b, size=a * ell_left)
+    sink.add_pairs(np.repeat(lids, ell_left), rids[jl])
+    ir = substream(seed, *labels, "R").integers(0, a, size=b * ell_right)
+    sink.add_pairs(lids[ir], np.repeat(rids, ell_right))
 
 
 def bipartite_into_sink(sink, left, right, xi: Fraction, seed: int, labels: tuple,
@@ -57,17 +93,52 @@ def bipartite_into_sink(sink, left, right, xi: Fraction, seed: int, labels: tupl
     plan = bipartite_sample_plan(a, b, xi, c_override)
     if plan["saturated"]:
         sink.add_block(lids, rids)
-        return plan
-    if plan["budget"] > _MAX_DRAWS:
-        raise ValueError(f"sampling budget {plan['budget']} exceeds the draw limit; "
-                         "use degree_constant_override for experiments at this size")
-    rng_l = substream(seed, *labels, "L")
-    rng_r = substream(seed, *labels, "R")
-    jl = rng_l.integers(0, b, size=a * plan["ell_left"])
-    sink.add_pairs(np.repeat(lids, plan["ell_left"]), rids[jl])
-    ir = rng_r.integers(0, a, size=b * plan["ell_right"])
-    sink.add_pairs(lids[ir], np.repeat(rids, plan["ell_right"]))
+    else:
+        _sample_into_sink(sink, lids, rids, plan["ell_left"], plan["ell_right"],
+                          plan["budget"], seed, labels)
     return plan
+
+
+def blocks_into_sink(sink, ptr: np.ndarray, ids: np.ndarray, left: np.ndarray,
+                     right: np.ndarray, xi: Fraction, seed: int, labels,
+                     c_override: int | None = None) -> int:
+    """bipartite_into_sink for many blocks at once: block i joins the id runs
+    ids[ptr[left[i]]:ptr[left[i] + 1]] and ids[ptr[right[i]]:ptr[right[i] + 1]],
+    with the labels labels(i).
+
+    Saturated blocks are marked in batches of at most _BLOCK_BATCH pairs;
+    each unsaturated one draws from its own substreams, as
+    bipartite_into_sink does, so the marks are the same as one
+    bipartite_into_sink call per block.  Returns the blocks' total budget.
+    """
+    start_l, start_r = ptr[left], ptr[right]
+    size_l, size_r = ptr[left + 1] - start_l, ptr[right + 1] - start_r
+    if size_l.size and min(int(size_l.min()), int(size_r.min())) < 1:
+        raise ValueError("expander sides must be nonempty")
+    plans = bipartite_sample_plans(size_l, size_r, xi, c_override)
+    sat = np.nonzero(plans["saturated"])[0]
+    pairs = size_l[sat] * size_r[sat]
+    ends = np.cumsum(pairs)
+    lo = 0
+    while lo < sat.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_BATCH, side="right")))
+        cnt = pairs[lo:hi]
+        block = np.repeat(sat[lo:hi], cnt)
+        # k-th pair of a block: left member k // b, right member k % b
+        k = np.arange(block.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+        b = size_r[block]
+        sink.add_pairs(ids[start_l[block] + k // b], ids[start_r[block] + k % b])
+        lo = hi
+    for i in np.nonzero(~plans["saturated"])[0].tolist():
+        _sample_into_sink(sink, ids[start_l[i]:start_l[i] + size_l[i]],
+                          ids[start_r[i]:start_r[i] + size_r[i]],
+                          int(plans["ell_left"][i]), int(plans["ell_right"][i]),
+                          int(plans["budget"][i]), seed, labels(i))
+    budget = plans["budget"]
+    if budget.dtype != object and int(budget.max(initial=0)) * budget.size < _INT64_SAFE:
+        return int(budget.sum())
+    return sum(budget.tolist())  # Python ints: the int64 sum could wrap
 
 
 def build_bipartite_expander(left_size: int, right_size: int, xi, seed: int = 0,

@@ -234,45 +234,6 @@ class QuadtreeShadow:
         return int(self.members.size)
 
 
-@dataclass(frozen=True)
-class _TreeArrays:
-    """Array form of a quadtree with m nodes; id m is a padding node."""
-
-    size: np.ndarray  # (m + 1,) points per node, 0 for the padding node
-    postorder: np.ndarray  # node ids in Quadtree.postorder() order
-    paths: np.ndarray  # (n_points, height): each point's cells, root first, padded with m
-
-    @property
-    def pad(self) -> int:
-        return self.size.size - 1
-
-    def count(self, ids: np.ndarray) -> np.ndarray:
-        """Per node (padding included, as 0), how many of the points ids it holds."""
-        counts = np.bincount(self.paths[ids].ravel(), minlength=self.pad + 1)
-        counts[self.pad] = 0
-        return counts
-
-
-def _tree_arrays(tree) -> _TreeArrays:
-    """The tree's array form, built on first use and kept on the tree, so
-    only trees whose shadow is asked for pay for it."""
-    arrays = getattr(tree, "_shadow_arrays", None)
-    if arrays is None:
-        postorder = tree.postorder()
-        level: dict[int, int] = {}
-        for idx in reversed(postorder):  # parents before their children
-            parent = tree.nodes[idx].parent
-            level[idx] = 0 if parent is None else level[parent] + 1
-        paths = np.full((tree.n_points, max(level.values()) + 1), len(tree.nodes),
-                        dtype=np.int64)
-        for idx, depth in level.items():
-            paths[tree.nodes[idx].point_ids, depth] = idx
-        size = np.array([len(node.point_ids) for node in tree.nodes] + [0], dtype=np.int64)
-        arrays = _TreeArrays(size, np.asarray(postorder, dtype=np.int64), paths)
-        tree._shadow_arrays = arrays
-    return arrays
-
-
 def _at_least(fraction: Fraction, part: np.ndarray, whole: np.ndarray) -> np.ndarray:
     """part >= fraction * whole, elementwise and exact: int64 products while
     they stay below 2^62, Python-int products above."""
@@ -289,7 +250,7 @@ def _quadtree_failures(tree, B, gamma):
     if not (0 < g <= 1):
         raise ValueError("gamma must be in (0, 1]")
     bad = clean_vertex_set(B, tree.n_points)
-    arrays = _tree_arrays(tree)
+    arrays = tree.arrays
     nbad = arrays.count(bad)
     return g, arrays, nbad, (arrays.size > 0) & _at_least(g, nbad, arrays.size), bad
 

@@ -14,10 +14,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .expanders import bipartite_into_sink
+from .expanders import blocks_into_sink
 from .graph_core import EdgeSink, PointSet, WeightedGraph
 from .lso import OrderingFamily, build_ordering_family, family_size, sort_by_ordering
-from .quadtree import build_quadtree, build_wspd, normalize_unit, wspd_point_pair_counts
+from .quadtree import (build_quadtree, build_wspd, max_log2_spread, normalize_unit,
+                       sibling_pairs, wspd_point_pair_counts)
 from .shadow import as_fraction
 from .spanner1d import build_G_theta, shifted_interval_params
 from .streams import subseed
@@ -49,29 +50,23 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
     log_spread = math.log2(ps.spread)
-    if log_spread > 60:
-        raise ValueError(f"spread overflow: log2(spread) = {log_spread:.1f} > 60")
+    limit = max_log2_spread(ps.d, NORM_MARGIN)
+    if log_spread > limit:
+        raise ValueError(f"spread overflow: log2(spread) = {log_spread:.1f} > {limit:.2f}, "
+                         "past which normalization can merge distinct points")
     normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
     tree = build_quadtree(normed, already_normalized=True)
     separation = 6.0 / epsilon
     pairs = build_wspd(tree, separation)
     xi = theta / 8
     sink = EdgeSink(n)
-    budget = 0
-    for i, pair in enumerate(pairs):
-        plan = bipartite_into_sink(sink, tree.nodes[pair.u].point_ids,
-                                   tree.nodes[pair.v].point_ids, xi, seed,
-                                   ("wspd", i), degree_constant_override)
-        budget += plan["budget"]
-    for node in tree.nodes:
-        kids = node.children
-        for a in range(len(kids)):
-            for b in range(a + 1, len(kids)):
-                plan = bipartite_into_sink(sink, tree.nodes[kids[a]].point_ids,
-                                           tree.nodes[kids[b]].point_ids, xi, seed,
-                                           ("sib", node.id, a, b),
-                                           degree_constant_override)
-                budget += plan["budget"]
+    arrays = tree.arrays
+    budget = blocks_into_sink(sink, arrays.point_ptr, arrays.point_ids, pairs.u, pairs.v,
+                              xi, seed, lambda i: ("wspd", i), degree_constant_override)
+    parent, ia, ib, left, right = sibling_pairs(tree)
+    budget += blocks_into_sink(sink, arrays.point_ptr, arrays.point_ids, left, right, xi, seed,
+                               lambda i: ("sib", int(parent[i]), int(ia[i]), int(ib[i])),
+                               degree_constant_override)
     u, v = sink.extract()
     counts = wspd_point_pair_counts(tree, pairs)
     meta = {

@@ -12,7 +12,12 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from relspan.graph_core import PointSet
 from relspan.lso import family_shape
+from relspan.quadtree import build_quadtree, normalize_unit
+from relspan.streams import substream
 
 
 def floyd_warshall(n: int, edges, bad=()) -> list[list[float]]:
@@ -298,3 +303,140 @@ def box_band_count_bruteforce(d: int, r: int, s_lo: int, s_hi: int, step: int) -
                 prod[k] += c * poly[k - j]
         poly = prod
     return sum(poly[max(s_lo, 0):])
+
+
+def cell_distance(a, b) -> float:
+    """Distance between two axis-aligned quadtree cells (0 when they touch or
+    overlap)."""
+    gap_lo = a.cell_min - (b.cell_min + b.cell_size)
+    gap_hi = b.cell_min - (a.cell_min + a.cell_size)
+    gaps = np.maximum(np.maximum(gap_lo, gap_hi), 0.0)
+    return float(np.sqrt((gaps ** 2).sum()))
+
+
+def wspd_recursive(tree, s: float) -> list[tuple[int, int, float]]:
+    """The WSPD as (u, v, separation) by recursive pair splitting: emit a
+    pair when dist >= s * max(diam), else split the node with the larger
+    cell; a node paired with itself splits into every pair of its
+    children i <= j."""
+    nodes = tree.nodes
+    out: list[tuple[int, int, float]] = []
+
+    def recurse(ua: int, ub: int) -> None:
+        a, b = nodes[ua], nodes[ub]
+        if ua == ub:
+            if a.is_leaf:
+                return
+            kids = a.children
+            for i in range(len(kids)):
+                for j in range(i, len(kids)):
+                    recurse(kids[i], kids[j])
+            return
+        da, db = a.diameter(), b.diameter()
+        dist = cell_distance(a, b)
+        if dist >= s * max(da, db):
+            sep = dist / max(da, db) if max(da, db) > 0 else float("inf")
+            out.append((ua, ub, sep))
+            return
+        if not a.is_leaf and (da >= db or b.is_leaf):
+            for c in a.children:
+                recurse(c, ub)
+        else:
+            for c in b.children:
+                recurse(ua, c)
+
+    recurse(tree.root, tree.root)
+    return out
+
+
+def wspd_point_pair_counts_loop(tree, pairs) -> list[int]:
+    """How many of the (u, v, separation) pairs each point is in, one pair
+    at a time."""
+    counts = [0] * tree.n_points
+    for u, v, _ in pairs:
+        for idx in (u, v):
+            for pid in tree.nodes[idx].point_ids.tolist():
+                counts[pid] += 1
+    return counts
+
+
+def sample_plan_py(a: int, b: int, xi: Fraction, c_override=None) -> dict:
+    """The bipartite sample plan in Python ints: c = ceil(3 / xi^2) samples
+    per unit, ell = c * ceil((a + b) / side), saturated when each side's
+    count reaches the other side."""
+    c = c_override if c_override is not None else math.ceil(Fraction(3) / (xi * xi))
+    ell_left = c * -(-(a + b) // a)
+    ell_right = c * -(-(a + b) // b)
+    return {"c": c, "ell_left": ell_left, "ell_right": ell_right,
+            "budget": a * ell_left + b * ell_right,
+            "saturated": ell_left >= b and ell_right >= a}
+
+
+def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0,
+                          c_override=None) -> tuple[int, list, list, dict]:
+    """(n, u, v, meta) of the bounded-spread construction, one expander at a
+    time: a bipartite expander per WSPD pair i, labelled ("wspd", i), and
+    one per pair of sibling cells (a, b) of a node, labelled
+    ("sib", node, a, b).  A saturated expander is the complete bipartite
+    block; a sampled one draws ell_left right neighbors per left vertex from
+    substream(seed, *labels, "L") and ell_right left neighbors per right
+    vertex from (..., "R")."""
+    coords = np.asarray(points, dtype=np.float64)
+    ps = PointSet(coords)
+    n = ps.n
+    margin = 0.125
+    normed, scale, offset = normalize_unit(coords, margin=margin)
+    tree = build_quadtree(normed, already_normalized=True)
+    separation = 6.0 / epsilon
+    pairs = wspd_recursive(tree, separation)
+    xi = theta / 8
+    marks: set[tuple[int, int]] = set()
+    budget = 0
+
+    def expander(left, right, labels):
+        nonlocal budget
+        plan = sample_plan_py(len(left), len(right), xi, c_override)
+        budget += plan["budget"]
+        if plan["saturated"]:
+            marks.update((x, y) for x in left for y in right)
+            return
+        jl = substream(seed, *labels, "L").integers(0, len(right),
+                                                    size=len(left) * plan["ell_left"])
+        marks.update((left[k // plan["ell_left"]], right[j]) for k, j in enumerate(jl.tolist()))
+        ir = substream(seed, *labels, "R").integers(0, len(left),
+                                                    size=len(right) * plan["ell_right"])
+        marks.update((left[i], right[k // plan["ell_right"]]) for k, i in enumerate(ir.tolist()))
+
+    nodes = tree.nodes
+    for i, (u, v, _) in enumerate(pairs):
+        expander(nodes[u].point_ids.tolist(), nodes[v].point_ids.tolist(), ("wspd", i))
+    for node in nodes:
+        kids = node.children
+        for a in range(len(kids)):
+            for b in range(a + 1, len(kids)):
+                expander(nodes[kids[a]].point_ids.tolist(), nodes[kids[b]].point_ids.tolist(),
+                         ("sib", node.id, a, b))
+    counts = wspd_point_pair_counts_loop(tree, pairs)
+    meta = {
+        "kind": "bounded_spread",
+        "n": n,
+        "d": ps.d,
+        "epsilon": epsilon,
+        "theta": str(theta),
+        "xi": str(xi),
+        "gamma": str(1 - theta / 2),
+        "bplus_factor": str(1 + theta),
+        "separation": separation,
+        "seed": seed,
+        "spread": ps.spread,
+        "log2_spread": math.log2(ps.spread),
+        "wspd_pairs": len(pairs),
+        "wspd_max_membership": max(counts),
+        "sample_budget": budget,
+        "experimental": c_override is not None,
+        "norm_scale": scale,
+        "norm_offset": offset.tolist(),
+        "norm_margin": margin,
+    }
+    edges = sorted(marks)
+    return n, [x for x, _ in edges], [y for _, y in edges], meta

@@ -5,16 +5,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspan.expanders import (bipartite_degree_constant,
-                               bipartite_sample_plan, build_bipartite_expander,
+from relspan import expanders
+from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plan,
+                               bipartite_sample_plans, blocks_into_sink,
+                               bipartite_into_sink, build_bipartite_expander,
                                build_reliable_connectivity, build_strong_expander,
                                build_verified_bipartite,
                                reliable_connectivity_params,
                                verify_expansion_bruteforce,
                                verify_expansion_sampled, verify_strong_expansion)
-from relspan.graph_core import WeightedGraph, shortest_path_length
+from relspan.graph_core import EdgeSink, WeightedGraph, shortest_path_length
 from relspan.shadow import as_fraction
 from relspan.streams import substream
+
+from oracles import sample_plan_py
 
 
 @dataclass
@@ -77,6 +81,50 @@ def test_sample_plan_example():
     assert plan["ell_left"] == 96
     assert plan["budget"] == 2304
     assert plan["saturated"]
+
+
+@pytest.mark.parametrize("xi,c", [(Fraction(1, 4), None), (Fraction(1, 32), 10),
+                                  (Fraction(1, 1 << 25), None), (Fraction(1, 2), 1 << 70)])
+def test_sample_plans_match_python_ints(xi, c):
+    sides = [(a, b) for a in (1, 2, 5, 16, 33, 1000) for b in (1, 3, 16, 32, 33, 4096)]
+    plans = bipartite_sample_plans([a for a, _ in sides], [b for _, b in sides], xi, c)
+    for k, (a, b) in enumerate(sides):
+        want = sample_plan_py(a, b, xi, c)
+        got = {key: plans[key] if key == "c" else plans[key][k] for key in want}
+        assert {key: int(val) for key, val in got.items()} == \
+            {key: int(val) for key, val in want.items()}
+        assert bipartite_sample_plan(a, b, xi, c) == want
+
+
+def test_saturation_is_not_monotone_in_block_size():
+    assert bipartite_sample_plan(16, 33, Fraction(1, 4), 10)["saturated"]
+    assert not bipartite_sample_plan(16, 32, Fraction(1, 4), 10)["saturated"]
+
+
+@pytest.mark.parametrize("batch", [1 << 20, 7])
+def test_blocks_into_sink_matches_one_call_per_block(monkeypatch, batch):
+    # runs of a permuted id list, blocks of mixed sizes, some sampled at c = 2;
+    # a batch of 7 pairs splits most saturated blocks into batches of their own
+    monkeypatch.setattr(expanders, "_BLOCK_BATCH", batch)
+    rng = substream(5, "runs")
+    sizes = rng.integers(1, 12, size=14)
+    ptr = np.concatenate([[0], np.cumsum(sizes)])
+    ids = rng.permutation(int(ptr[-1])).astype(np.int64)
+    left = rng.integers(0, 14, size=40)
+    right = rng.integers(0, 14, size=40)
+    n = int(ptr[-1])
+    for c in (None, 2):
+        batched, single = EdgeSink(n), EdgeSink(n)
+        labels = lambda i: ("blk", i)
+        total = blocks_into_sink(batched, ptr, ids, left, right, Fraction(1, 4), 9, labels, c)
+        want = 0
+        for i in range(left.size):
+            plan = bipartite_into_sink(single, ids[ptr[left[i]]:ptr[left[i] + 1]],
+                                       ids[ptr[right[i]]:ptr[right[i] + 1]], Fraction(1, 4),
+                                       9, labels(i), c)
+            want += plan["budget"]
+        assert total == want
+        assert np.array_equal(batched.mat, single.mat)
 
 
 def test_half_expansion_exhaustive():

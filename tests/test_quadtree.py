@@ -3,13 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from relspan.quadtree import (build_quadtree, build_wspd, cell_distance,
-                              normalize_unit, wspd_point_pair_counts)
+from relspan.quadtree import (build_quadtree, build_wspd, normalize_unit, sibling_pairs,
+                              wspd_point_pair_counts)
 from relspan.streams import substream
+
+from oracles import cell_distance, wspd_point_pair_counts_loop, wspd_recursive
 
 
 def _points(seed, n, d=2):
     return substream(seed, "qt").random((n, d)) * 0.75 + 0.125
+
+
+def _certificate_ok(tree, u, v, s) -> bool:
+    a, b = tree.nodes[u], tree.nodes[v]
+    return s * max(a.diameter(), b.diameter()) <= cell_distance(a, b)
 
 
 def test_normalize_margin_and_scale():
@@ -75,9 +82,9 @@ def test_wspd_covers_every_pair_exactly_once(seed, n, s):
     tree = build_quadtree(pts, already_normalized=True)
     pairs = build_wspd(tree, s)
     cover = {frozenset(pq): 0 for pq in itertools.combinations(range(n), 2)}
-    for pair in pairs:
-        for a in tree.nodes[pair.u].point_ids.tolist():
-            for b in tree.nodes[pair.v].point_ids.tolist():
+    for u, v in zip(pairs.u.tolist(), pairs.v.tolist()):
+        for a in tree.nodes[u].point_ids.tolist():
+            for b in tree.nodes[v].point_ids.tolist():
                 cover[frozenset((a, b))] += 1
     assert all(c == 1 for c in cover.values())
 
@@ -87,8 +94,8 @@ def test_wspd_certificates_replay(seed=7):
     tree = build_quadtree(pts, already_normalized=True)
     s = 6.0
     pairs = build_wspd(tree, s)
-    for pair in pairs:
-        assert pair.certificate_ok(tree, s)
+    for u, v in zip(pairs.u.tolist(), pairs.v.tolist()):
+        assert _certificate_ok(tree, u, v, s)
 
 
 def test_wspd_membership_counts():
@@ -98,3 +105,41 @@ def test_wspd_membership_counts():
     counts = wspd_point_pair_counts(tree, pairs)
     assert counts.shape == (32,)
     assert counts.min() >= 1
+
+
+@pytest.mark.parametrize("d,n", [(1, 70), (2, 60), (3, 40)])
+@pytest.mark.parametrize("s", [2.0, 6.0, 12.0])
+def test_wspd_matches_recursive_oracle(d, n, s):
+    # a few close pairs as well, so that some cells have diameter 0 on one side
+    pts = _points(40 + d, n, d)
+    pts[1::7] = pts[::7][:len(pts[1::7])] + 1e-7
+    tree = build_quadtree(pts, already_normalized=True)
+    pairs = build_wspd(tree, s)
+    want = wspd_recursive(tree, s)
+    assert len(pairs) == len(want)
+    assert pairs.u.tolist() == [u for u, _, _ in want]
+    assert pairs.v.tolist() == [v for _, v, _ in want]
+    # exact, inf included: the same float operations in the same order
+    assert pairs.separation.tolist() == [sep for _, _, sep in want]
+    assert wspd_point_pair_counts(tree, pairs).tolist() == wspd_point_pair_counts_loop(tree, want)
+
+
+def test_sibling_pairs_in_node_order():
+    tree = build_quadtree(_points(9, 50, 3), already_normalized=True)
+    want = [(node.id, a, b, node.children[a], node.children[b]) for node in tree.nodes
+            for a in range(len(node.children)) for b in range(a + 1, len(node.children))]
+    got = list(zip(*(arr.tolist() for arr in sibling_pairs(tree))))
+    assert got == want
+
+
+def test_tree_arrays_are_built_once_on_demand():
+    tree = build_quadtree(_points(10, 30), already_normalized=True)
+    assert "arrays" not in vars(tree)
+    arrays = tree.arrays
+    assert tree.arrays is arrays
+    for node in tree.nodes:
+        lo, hi = arrays.point_ptr[node.id], arrays.point_ptr[node.id + 1]
+        assert arrays.point_ids[lo:hi].tolist() == node.point_ids.tolist()
+        lo, hi = arrays.child_ptr[node.id], arrays.child_ptr[node.id + 1]
+        assert arrays.children[lo:hi].tolist() == node.children
+        assert arrays.diameter[node.id] == node.diameter()

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -7,12 +9,13 @@ import pytest
 from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_matrix
 from relspan.lso import build_ordering_family, sort_by_ordering
 from relspan.spanner1d import build_G_theta
-from relspan.spanner_euclidean import (build_bounded_spread_spanner,
+from relspan.quadtree import max_log2_spread
+from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
                                        build_hd_spanner, hd_config,
                                        union_over_orderings)
 from relspan.streams import substream
 
-from oracles import dijkstra_py
+from oracles import bounded_spread_oracle, dijkstra_py
 
 
 def jittered_grid(rows, cols, seed=0, jitter=0.2):
@@ -101,6 +104,106 @@ def test_bounded_spread_spread_guard():
                    dtype=np.float64)
     with pytest.raises(ValueError, match="spread overflow"):
         build_bounded_spread_spanner(pts, 0.5, "1/4")
+
+
+def _far_pairs(d, e):
+    """A unit-distance pair and, 2^e away, a second one (in d = 1 a single
+    point, as 2^e + 1 rounds to 2^e): log2(spread) is e."""
+    if d == 1:
+        return np.array([[0.0], [1.0], [2.0 ** e]])
+    pts = np.zeros((4, d))
+    pts[1, d - 1] = pts[3, d - 1] = 1.0
+    pts[2:, 0] += 2.0 ** e
+    return pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_spread_limit_is_checked_up_front(d):
+    limit = max_log2_spread(d, NORM_MARGIN)
+    at = _far_pairs(d, limit - 1e-9)
+    assert math.log2(PointSet(at).spread) <= limit
+    g = build_bounded_spread_spanner(at, 0.5, "1/4")
+    assert g.u.size == len(at) * (len(at) - 1) // 2  # all points distinct, all joined
+    for e in (limit + 1e-9, 56, 58, 60):  # one step past, and past float resolution
+        with pytest.raises(ValueError, match="spread overflow"):
+            build_bounded_spread_spanner(_far_pairs(d, e), 0.5, "1/4")
+
+
+def _pin_points(shape):
+    rng = substream(7, "pin-grid")
+    cells = np.indices(shape).reshape(len(shape), -1).T.astype(np.float64)
+    return cells + rng.uniform(-0.3, 0.3, size=cells.shape)
+
+
+def _sha(g):
+    h = hashlib.sha256(np.int64(g.n).astype("<i8").tobytes())
+    for arr, dtype in ((g.u, "<i8"), (g.v, "<i8"), (g.w, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest(), hashlib.sha256(json.dumps(g.meta, sort_keys=True).encode()).hexdigest()
+
+
+# (grid shape, epsilon, degree_constant_override): saturated, then sampled
+# regimes; with c = 10, a 16 x 33 block is saturated but 16 x 32 is sampled
+REGIMES = [((64,), 0.5, None), ((6, 8), 0.5, None), ((4, 4, 3), 0.5, None),
+           ((128,), 0.5, 2), ((8, 8), 0.5, 2), ((4, 4, 3), 0.9, 2),
+           ((256,), 0.99, 10), ((8, 8), 0.99, 10), ((4, 4, 4), 0.99, 10)]
+
+
+@pytest.mark.parametrize("shape,eps,c", REGIMES)
+def test_bounded_spread_matches_per_pair_oracle(shape, eps, c):
+    pts = _pin_points(shape)
+    g = build_bounded_spread_spanner(pts, eps, Fraction(1, 4), seed=11,
+                                     degree_constant_override=c)
+    n, u, v, meta = bounded_spread_oracle(pts, eps, Fraction(1, 4), seed=11, c_override=c)
+    want = WeightedGraph.from_pairs(n, np.asarray(u, dtype=np.int64),
+                                    np.asarray(v, dtype=np.int64), positions=pts, meta=meta)
+    assert np.array_equal(g.u, want.u) and np.array_equal(g.v, want.v)
+    assert np.array_equal(g.w, want.w)
+    assert g.meta == want.meta
+
+
+# sha256 of (edges, meta) pinned from the per-pair emission; the sampled
+# regimes leave pairs out, so their draws and ("wspd", i) labels show
+PINS = [
+    (((8, 8), 0.5, None), 2016,
+     "1206a220e3daa95668257113bbc7db107009282df62b6c982021a73927eccf52",
+     "bb441e31739c40a838c751bc83af40a7edb5c7b6b18c1a06b6226dd8a2d129e9"),
+    (((128,), 0.5, 2), 7839,
+     "ecd8062c14089d314c9b9fc4b39465ba5eb9e592461de56531a6e8586ee9f580",
+     "729dc73731fff0b7cfd5511687e878e33011d226a63d40021597932ff32d5227"),
+    (((256,), 0.99, 10), 32214,
+     "231aa3563611d7dfe46d0b3cfad05968eae9a9e236cb859ec93923da5e24c85e",
+     "98098b5820a13e2312ecad3a496cd0acd87b1195fd9b3b1d685200d3d2855b1f"),
+]
+
+
+@pytest.mark.parametrize("regime,edges,edges_sha,meta_sha", PINS)
+def test_bounded_spread_golden_hashes(regime, edges, edges_sha, meta_sha):
+    shape, eps, c = regime
+    g = build_bounded_spread_spanner(_pin_points(shape), eps, Fraction(1, 4), seed=11,
+                                     degree_constant_override=c)
+    assert g.u.size == edges
+    assert _sha(g) == (edges_sha, meta_sha)
+
+
+def test_saturated_sibling_block_is_emitted():
+    # 16 points near 0.13 and, in the other half, 32 near 0.85 plus one at
+    # 0.55: the root's sibling block is 16 x 33, saturated at c = 10, while
+    # the WSPD pair of the 16 and the 32 is 16 x 32 and sampled, so the
+    # saturated sibling block adds pairs that the WSPD leaves out
+    pts = np.concatenate([0.13 + np.arange(16) * 1e-3, 0.85 + np.arange(32) * 1e-3,
+                          [0.55]])[:, None]
+    g = build_bounded_spread_spanner(pts, 0.5, "1/4", seed=11, degree_constant_override=10)
+    assert g.u.size == 49 * 48 // 2
+
+
+def test_sample_budget_is_exact_past_int64():
+    pts = _pin_points((6, 8))
+    theta = Fraction(1, 1 << 22)
+    g = build_bounded_spread_spanner(pts, 0.5, theta, seed=3)
+    meta = bounded_spread_oracle(pts, 0.5, theta, seed=3)[3]
+    assert g.meta["sample_budget"] == meta["sample_budget"] > (1 << 63)
+    assert type(g.meta["sample_budget"]) is int
 
 
 # ---------------------------------------------------------------------------
