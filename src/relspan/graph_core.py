@@ -115,12 +115,6 @@ def load_points(path) -> PointSet:
     return PointSet(np.asarray(rows, dtype=np.float64))
 
 
-def save_points(points: PointSet | np.ndarray, path) -> None:
-    coords = points.coords if isinstance(points, PointSet) else np.asarray(points)
-    lines = [" ".join(repr(float(x)) for x in row) for row in coords]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # the graph
 # ---------------------------------------------------------------------------
@@ -200,15 +194,6 @@ class WeightedGraph:
     @property
     def is_line(self) -> bool:
         return bool(self.meta.get("line", False))
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        np.add.at(deg, self.u, 1)
-        np.add.at(deg, self.v, 1)
-        return deg
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(zip(self.u.tolist(), self.v.tolist()))
 
     def csr(self) -> csr_matrix:
         if self._csr is None:

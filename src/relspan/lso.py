@@ -21,15 +21,21 @@ scale are the lattice points of a box intersected with a spherical band, and
 their number follows from a histogram of squared norms over d - 1 axes plus
 prefix counts on the last one, once per distinct box radius.
 ``build_ordering_family`` enumerates the same offsets to build the orderings.
+
+Every ordering keys a point by one d * 32-bit integer, packed into uint64
+words of floor(64 / d) levels each, and points are compared by their key
+rows lexicographically (``key_ranks``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,31 +44,61 @@ from .streams import substream
 W_BITS = 32  # fixed-point quantization per axis; caps usable spread at 2^32
 T_MAX = 20  # finest grid-stepping scale t, whose cells have side 2^-t
 
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0xAAAAAAAAAAAAAAAA)
-
-
-def _part1by1(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.uint64)
-    x = (x | (x << np.uint64(16))) & np.uint64(0x0000FFFF0000FFFF)
-    x = (x | (x << np.uint64(8))) & np.uint64(0x00FF00FF00FF00FF)
-    x = (x | (x << np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    x = (x | (x << np.uint64(2))) & np.uint64(0x3333333333333333)
-    x = (x | (x << np.uint64(1))) & _M1
-    return x
-
 
 def _quantize(x: np.ndarray) -> np.ndarray:
     return np.minimum((np.mod(x, 1.0) * float(1 << W_BITS)).astype(np.uint64),
                       np.uint64((1 << W_BITS) - 1))
 
 
-def _interleave_py(coords_bits: list[int], d: int, bits: int) -> int:
-    key = 0
-    for lvl in range(bits - 1, -1, -1):
-        for axis in range(d - 1, -1, -1):
-            key = (key << 1) | ((coords_bits[axis] >> lvl) & 1)
-    return key
+class _KeyLayout(NamedTuple):
+    spans: tuple[tuple[int, int], ...]  # levels [lo, hi) of each word
+    lo: np.ndarray  # per word, uint64
+    level_mask: np.ndarray  # 2^(hi - lo) - 1 per word
+    stages: list[tuple[np.uint64, np.uint64]]  # (shift, mask) of the bit spread
+    rep: np.ndarray  # 1 at each digit's bottom: reflection * rep reflects all digits
+
+
+@functools.lru_cache(maxsize=8)
+def _key_layout(d: int) -> _KeyLayout:
+    """How a d * W_BITS-bit key is packed into uint64 words for dimension d.
+
+    A key is W_BITS levels of d-bit digits (axis d - 1 the digit's top bit),
+    most significant level first.  Each word holds floor(64 / d) levels,
+    most significant word first.  Bits are spread with magic masks: before
+    the stage at k, blocks of 2^(k+1) bits sit at stride 2^(k+1) d, and the
+    stage moves every odd 2^k-bit block up by 2^k (d - 1); for d = 2 these
+    are the usual 0x0000FFFF0000FFFF ... 0x5555555555555555 masks.
+    """
+    per_word = min(64 // d, W_BITS)
+    spans = tuple((max(hi - per_word, 0), hi) for hi in range(W_BITS, 0, -per_word))
+    stages = []
+    for k in range((per_word - 1).bit_length() - 1, -1, -1):
+        low = (1 << k) - 1
+        mask = sum(1 << ((i >> k) * (d << k) + (i & low)) for i in range(per_word))
+        stages.append((np.uint64((d - 1) << k), np.uint64(mask)))
+
+    def frozen(values: list[int]) -> np.ndarray:
+        a = np.array(values, dtype=np.uint64)
+        a.setflags(write=False)  # shared by every caller through the cache
+        return a
+
+    return _KeyLayout(spans, frozen([lo for lo, _ in spans]),
+                      frozen([(1 << (hi - lo)) - 1 for lo, hi in spans]), stages,
+                      frozen([sum(1 << (d * j) for j in range(hi - lo)) for lo, hi in spans]))
+
+
+def _morton_words(q: np.ndarray) -> np.ndarray:
+    """(n, w) uint64 Morton key words of quantized coordinates q, (n, d)."""
+    d = q.shape[1]
+    layout = _key_layout(d)
+    x = (q.T[:, None, :] >> layout.lo[:, None]) & layout.level_mask[:, None]  # (d, w, n)
+    for shift, mask in layout.stages:
+        x |= x << shift
+        x &= mask
+    words = x[0]
+    for a in range(1, d):
+        words |= x[a] << np.uint64(a)
+    return words.T
 
 
 @dataclass
@@ -81,71 +117,36 @@ class Ordering:
     # -- key computation ----------------------------------------------------
 
     def keys(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized keys for d <= 2; python-int keys otherwise."""
+        """(n, w) uint64 keys, compared row by row lexicographically."""
         pts = np.atleast_2d(np.asarray(pts, dtype=np.float64))
-        if self.d == 1:
-            return self._keys_d1(pts)
-        if self.d == 2:
-            return self._keys_d2(pts)
-        return np.array([self.key_one(row) for row in pts], dtype=object)
+        return self.grid_keys(_quantize(pts + np.asarray(self.shift)))
 
-    def _shifted_quant(self, pts: np.ndarray) -> list[np.ndarray]:
-        return [_quantize(pts[:, a] + self.shift[a]) for a in range(self.d)]
+    def grid_keys(self, q: np.ndarray) -> np.ndarray:
+        """Keys of coordinates already shifted and quantized to W_BITS bits.
 
-    def _keys_d1(self, pts: np.ndarray) -> np.ndarray:
-        (xs,) = self._shifted_quant(pts)
+        A Morton key is the bit-interleaved coordinates with every d-bit
+        digit XORed by the reflection.  A step key is the Morton key of the
+        W_BITS - t fine bits with the cell's visiting order
+        sum(v_a c_a) mod 2^(t d) in its top t levels; the order is computed
+        in wrapping uint64 arithmetic, exact while t d <= 64.
+        """
+        layout = _key_layout(self.d)
         if self.kind == "morton":
-            key = xs
-            if self.reflection & 1:
-                key = key ^ np.uint64((1 << W_BITS) - 1)
-            return key
-        t = self.t
-        m = np.uint64((1 << t) - 1)
-        cells = (xs >> np.uint64(W_BITS - t)) & m
-        order = (np.uint64(self.v[0]) * cells) & m
-        fine = xs & np.uint64((1 << (W_BITS - t)) - 1)
-        return (order << np.uint64(W_BITS - t)) | fine
-
-    def _keys_d2(self, pts: np.ndarray) -> np.ndarray:
-        xs, ys = self._shifted_quant(pts)
-        if self.kind == "morton":
-            key = _part1by1(xs) | (_part1by1(ys) << np.uint64(1))
-            mask = np.uint64(0)
-            if self.reflection & 1:
-                mask |= _M1
-            if self.reflection & 2:
-                mask |= _M2
-            return key ^ mask
-        t = self.t
-        sh = np.uint64(W_BITS - t)
-        cx = (xs >> sh).astype(np.int64)
-        cy = (ys >> sh).astype(np.int64)
-        mod_mask = np.int64((1 << (2 * t)) - 1)
-        order = (np.int64(self.v[0]) * cx + np.int64(self.v[1]) * cy) & mod_mask
-        fmask = np.uint64((1 << (W_BITS - t)) - 1)
-        fine = _part1by1(xs & fmask) | (_part1by1(ys & fmask) << np.uint64(1))
-        return (order.astype(np.uint64) << np.uint64(2 * (W_BITS - t))) | fine
-
-    def key_one(self, p) -> int:
-        """Scalar python-int key, any dimension."""
-        q = [int(min(int(((p[a] + self.shift[a]) % 1.0) * (1 << W_BITS)),
-                     (1 << W_BITS) - 1)) for a in range(self.d)]
-        if self.kind == "morton":
-            key = _interleave_py(q, self.d, W_BITS)
-            if self.reflection:
-                refl = 0
-                for lvl in range(W_BITS):
-                    refl |= self.reflection << (self.d * lvl)
-                key ^= refl
-            return key
-        t = self.t
-        m = 1 << t
-        mod = m ** self.d
-        cells = [qq >> (W_BITS - t) for qq in q]
-        order = sum(v * c for v, c in zip(self.v, cells)) % mod
-        fine = _interleave_py([qq & ((1 << (W_BITS - t)) - 1) for qq in q],
-                              self.d, W_BITS - t)
-        return order * (1 << (self.d * (W_BITS - t))) + fine
+            return _morton_words(q) ^ (np.uint64(self.reflection) * layout.rep)
+        fine_bits = W_BITS - self.t
+        words = _morton_words(q & np.uint64((1 << fine_bits) - 1))
+        cells = q >> np.uint64(fine_bits)
+        order = (cells * np.array(self.v, dtype=np.uint64)).sum(axis=1, dtype=np.uint64)
+        for k, (lo, hi) in enumerate(layout.spans):
+            # the order's bit 0 sits at key bit d * fine_bits, word bit s;
+            # its bits from t d up fall past the key's top and are masked off
+            s = self.d * (fine_bits - lo)
+            width = self.d * (hi - lo)
+            if s >= width:
+                continue
+            part = order << np.uint64(s) if s >= 0 else order >> np.uint64(-s)
+            words[:, k] |= part & np.uint64((1 << width) - 1)
+        return words
 
 
 def _step_v(delta: tuple[int, ...], t: int) -> tuple[int, ...]:
@@ -191,10 +192,10 @@ def family_shape(d: int, sigma) -> dict:
     root_d = math.sqrt(d)
     band_lo = 0.72 * root_d / sigma
     band_hi = 1.12 * 2.0 * root_d / sigma
-    # int64 cell arithmetic needs 3t <= 62 bits; scales beyond T_MAX would
-    # serve pairs below 1e-6 separation, outside the supported regime anyway.
-    # Offsets at scale t are at most 2^t - 1 per axis, so a band starting past
-    # 2^T_MAX - 1 could leave the family without any step ordering.
+    # Scales beyond T_MAX would serve pairs below 1e-6 separation, outside
+    # the supported regime anyway.  Offsets at scale t are at most 2^t - 1
+    # per axis, so a band starting past 2^T_MAX - 1 could leave the family
+    # without any step ordering.
     if band_lo > (1 << T_MAX) - 1:
         sigma_min = 0.72 * root_d / ((1 << T_MAX) - 1)
         raise ValueError(f"sigma = {sigma:.6g} is below the smallest supported "
@@ -321,8 +322,16 @@ class OrderingFamily:
 
 
 def build_ordering_family(d: int, sigma) -> OrderingFamily:
-    """Deterministic family; M is a pure function of (d, sigma)."""
+    """Deterministic family; M is a pure function of (d, sigma).
+
+    Step keys compute their t d-bit cell order in uint64 arithmetic, so a
+    family whose finest scale needs d t_max > 64 bits is refused; every such
+    family has over 2 * 10^8 orderings.
+    """
     shape = family_shape(d, sigma)
+    if shape["d"] * shape["t_max"] > 64:
+        raise ValueError(f"d * t_max = {shape['d']} * {shape['t_max']} exceeds the "
+                         f"64 bits of a step ordering's cell order")
     orderings: list[Ordering] = []
     den = shape["lattice_denominator"]
     for refl in range(shape["reflections"]):
@@ -345,13 +354,21 @@ def build_ordering_family(d: int, sigma) -> OrderingFamily:
     return OrderingFamily(shape["sigma"], d, orderings, shape, step_index)
 
 
+def key_ranks(keys: np.ndarray) -> np.ndarray:
+    """Dense ranks of (n, w) key rows in lexicographic order: equal rows share
+    a rank, and a smaller row has a smaller rank."""
+    order = np.lexsort(keys.T[::-1])
+    rows = keys[order]
+    new = np.zeros(order.size, dtype=np.int64)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = new.cumsum()
+    return ranks
+
+
 def sort_by_ordering(ordering: Ordering, pts: np.ndarray) -> np.ndarray:
     """Permutation sorting the points; key ties break by point id."""
-    keys = ordering.keys(pts)
-    if keys.dtype == object:
-        return np.array(sorted(range(len(keys)), key=lambda i: (keys[i], i)),
-                        dtype=np.int64)
-    return np.argsort(keys, kind="stable").astype(np.int64)
+    return np.argsort(key_ranks(ordering.keys(pts)), kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +383,15 @@ class LsoCheck:
     between_count: int
 
 
-def _test_ordering(o: Ordering, p, q, z: np.ndarray, rad: float,
+def _test_ordering(o: Ordering, pts: np.ndarray, grid: np.ndarray, rad: float,
                    dzp: np.ndarray, dzq: np.ndarray) -> tuple[bool, int]:
-    pts = np.vstack([p, q, z]) if z.size else np.vstack([p, q])
-    keys = o.keys(pts)
-    if keys.dtype == object:
-        kp, kq = keys[0], keys[1]
-        kz = keys[2:]
-        lo, hi = (kp, kq) if kp < kq else (kq, kp)
-        between = np.array([lo < k < hi for k in kz], dtype=bool)
-    else:
-        kp, kq = keys[0], keys[1]
-        lo, hi = (kp, kq) if kp < kq else (kq, kp)
-        kz = keys[2:]
-        between = (kz > lo) & (kz < hi)
+    """pts stacks p, q and the samples; grid is pts quantized, which is what
+    every zero-shift ordering keys."""
+    ranks = key_ranks(o.keys(pts) if any(o.shift) else o.grid_keys(grid))
+    kp, kq = ranks[0], ranks[1]
+    lo, hi = (kp, kq) if kp < kq else (kq, kp)
+    kz = ranks[2:]
+    between = (kz > lo) & (kz < hi)
     count = int(between.sum())
     if count == 0:
         return True, 0
@@ -388,11 +400,7 @@ def _test_ordering(o: Ordering, p, q, z: np.ndarray, rad: float,
     if not (near_p | near_q).all():
         return False, count
     # pivot consistency: sorted by key, first-endpoint ball then second
-    kb = kz[between]
-    if kb.dtype == object:
-        order = np.array(sorted(range(len(kb)), key=lambda i: kb[i]), dtype=np.int64)
-    else:
-        order = np.argsort(kb, kind="stable")
+    order = np.argsort(kz[between], kind="stable")
     first_is_p = kp < kq
     near_first = (near_p if first_is_p else near_q)[order]
     near_second = (near_q if first_is_p else near_p)[order]
@@ -434,6 +442,8 @@ def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
     rad = family.sigma * ell
     dzp = np.linalg.norm(z - p, axis=1)
     dzq = np.linalg.norm(z - q, axis=1)
+    pts = np.vstack([p, q, z])
+    grid = _quantize(pts)
 
     tried = 0
     seen: set[int] = set()
@@ -447,7 +457,7 @@ def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
             continue
         seen.add(o.id)
         tried += 1
-        ok, cnt = _test_ordering(o, p, q, z, rad, dzp, dzq)
+        ok, cnt = _test_ordering(o, pts, grid, rad, dzp, dzq)
         if ok:
             return LsoCheck(True, o.id, tried, cnt)
     if full_scan:
@@ -455,7 +465,7 @@ def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
             if o.id in seen:
                 continue
             tried += 1
-            ok, cnt = _test_ordering(o, p, q, z, rad, dzp, dzq)
+            ok, cnt = _test_ordering(o, pts, grid, rad, dzp, dzq)
             if ok:
                 return LsoCheck(True, o.id, tried, cnt)
     return LsoCheck(False, None, tried, -1)

@@ -68,32 +68,25 @@ def _prefix_sufmax(n: int, bad: np.ndarray, p: int, q: int,
     return prefix, sufmax
 
 
-def _left_members_fast(n: int, bad: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Vector path: i is in the left shadow iff some run starting at i has
-    reweighted sum >= 0."""
-    prefix, sufmax = _prefix_sufmax(n, bad, p, q)
-    return np.nonzero(sufmax >= prefix[:-1])[0].astype(np.int64)
+def _left_shadow(n: int, bad: np.ndarray, p: int, q: int,
+                 witness: bool) -> tuple[np.ndarray, dict[int, tuple[int, int]]]:
+    """Left shadow members, ascending, and with witness=True each member's
+    witness (i, j), in decreasing i.
 
-
-def _left_members_exact(n: int, bad_set: set[int], p: int, q: int,
-                        want_witness: bool) -> tuple[list[int], dict[int, tuple[int, int]]]:
-    members: list[int] = []
-    witnesses: dict[int, tuple[int, int]] = {}
-    tail = 0  # best suffix-anchored sum starting just right of i
-    tail_j = n  # right endpoint achieving it
-    for i in range(n - 1, -1, -1):
-        y = (q - p) if i in bad_set else -p
-        if tail > 0:
-            total, j = y + tail, tail_j
-        else:
-            total, j = y, i
-        if total >= 0:
-            members.append(i)
-            if want_witness:
-                witnesses[i] = (i, j)
-        tail, tail_j = total, j
-    members.reverse()
-    return members, witnesses
+    i is a member iff some run [i, j] has score sum >= 0.  Its witness right
+    end j is the leftmost j >= i whose run reaches the best score, i.e. the
+    first j >= i with prefix[j + 1] == sufmax[j].  Scores are int64 below
+    2^62 and Python ints above.
+    """
+    dtype = np.int64 if q * (n + 1) < _INT64_SAFE else object
+    prefix, sufmax = _prefix_sufmax(n, bad, p, q, dtype)
+    members = np.nonzero(sufmax >= prefix[:-1])[0].astype(np.int64)
+    if not witness:
+        return members, {}
+    ends = np.where(prefix[1:] == sufmax, np.arange(n), n)
+    right = np.minimum.accumulate(ends[::-1])[::-1]
+    down = members[::-1].tolist()
+    return members, dict(zip(down, zip(down, right[members[::-1]].tolist())))
 
 
 def shadow_1d(n: int, B, alpha, side: str = "both", witness: bool = False) -> ShadowResult:
@@ -110,23 +103,13 @@ def shadow_1d(n: int, B, alpha, side: str = "both", witness: bool = False) -> Sh
     bad = clean_vertex_set(B, n)
     p, q = a.numerator, a.denominator
 
-    use_fast = (not witness) and (q * (n + 1) < _INT64_SAFE)
     members_by_side = {}
     witnesses: dict[int, tuple[int, int]] = {}
-
-    def left_of(bad_ids: np.ndarray) -> tuple[np.ndarray, dict]:
-        if use_fast:
-            return _left_members_fast(n, bad_ids, p, q), {}
-        mem, wit = _left_members_exact(n, set(bad_ids.tolist()), p, q, witness)
-        return np.asarray(mem, dtype=np.int64), wit
-
     if side in ("left", "both"):
-        mem, wit = left_of(bad)
-        members_by_side["left"] = mem
+        members_by_side["left"], wit = _left_shadow(n, bad, p, q, witness)
         witnesses.update(wit)
     if side in ("right", "both"):
-        mirrored = np.sort(n - 1 - bad)
-        mem, wit = left_of(mirrored)
+        mem, wit = _left_shadow(n, np.sort(n - 1 - bad), p, q, witness)
         members_by_side["right"] = np.sort(n - 1 - mem)
         for i, (lo, hi) in wit.items():
             witnesses[n - 1 - i] = (n - 1 - hi, n - 1 - lo)
@@ -180,21 +163,6 @@ def shadow_1d_candidate_sizes(n: int, B, alpha) -> np.ndarray:
              + _left_gains(*right, q, outside[::-1])[::-1] - outside)
     sizes[bad] = old
     return sizes
-
-
-def verify_witness(result: ShadowResult, B) -> bool:
-    """Replay every recorded witness interval with pure integer counting."""
-    if result.witnesses is None:
-        raise ValueError("shadow was computed without witnesses")
-    bad = set(clean_vertex_set(B, result.n).tolist())
-    p, q = result.alpha.numerator, result.alpha.denominator
-    for i, (lo, hi) in result.witnesses.items():
-        if not (lo <= i <= hi):
-            return False
-        count = sum(1 for k in range(lo, hi + 1) if k in bad)
-        if q * count < p * (hi - lo + 1):
-            return False
-    return True
 
 
 def check_shadow_bounds(result: ShadowResult, B) -> dict:

@@ -138,19 +138,6 @@ def build_H(n: int, xi=Fraction(1, 16), seed: int = 0,
     return WeightedGraph.from_pairs(n, u[keep], v[keep], line=True, meta=meta)
 
 
-def h_level_budget(n: int, xi=Fraction(1, 16)) -> int:
-    """Analytic per-level sampling budget: pairs(level) * c * 2 * blocksize."""
-    xi = as_fraction(xi)
-    c = math.ceil(Fraction(3) / (xi * xi))
-    n_padded = pow2_at_least(n)
-    h = n_padded.bit_length() - 1
-    total = 0
-    for lev in range(h):
-        pairs = (n_padded >> lev) - 1
-        total += pairs * c * 2 * (1 << lev)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # the shifted-interval construction
 # ---------------------------------------------------------------------------

@@ -120,6 +120,48 @@ def shadow_1d_bruteforce(n: int, bad, alpha: Fraction, side: str = "both") -> se
     return left | right
 
 
+def left_shadow_loop(n: int, bad, p: int, q: int) -> tuple[list[int], dict[int, tuple[int, int]]]:
+    """Left shadow by one right-to-left scan in Python ints, for alpha = p/q.
+
+    Position i scores q - p when failed and -p otherwise.  tail is the best
+    sum of a run starting just right of i, tail_j its right end (the
+    leftmost one on ties).  Members come back in increasing order, the
+    witnesses (i, j) in the order the scan finds them: decreasing i.
+    """
+    bad = set(bad)
+    members: list[int] = []
+    witnesses: dict[int, tuple[int, int]] = {}
+    tail = 0
+    tail_j = n
+    for i in range(n - 1, -1, -1):
+        y = (q - p) if i in bad else -p
+        if tail > 0:
+            total, j = y + tail, tail_j
+        else:
+            total, j = y, i
+        if total >= 0:
+            members.append(i)
+            witnesses[i] = (i, j)
+        tail, tail_j = total, j
+    members.reverse()
+    return members, witnesses
+
+
+def shadow_1d_witnesses_loop(n: int, bad, alpha: Fraction, side: str) -> dict[int, tuple[int, int]]:
+    """Witness dict of shadow_1d(..., witness=True) from the scan: the left
+    side's witnesses, then the mirrored right side's, a position on both
+    sides keeping its left slot and taking its right witness."""
+    p, q = alpha.numerator, alpha.denominator
+    witnesses: dict[int, tuple[int, int]] = {}
+    if side in ("left", "both"):
+        witnesses.update(left_shadow_loop(n, bad, p, q)[1])
+    if side in ("right", "both"):
+        _, wit = left_shadow_loop(n, [n - 1 - b for b in bad], p, q)
+        for i, (lo, hi) in wit.items():
+            witnesses[n - 1 - i] = (n - 1 - hi, n - 1 - lo)
+    return witnesses
+
+
 def monotone_layers_bruteforce(n: int, edges, source: int, bad=(),
                                hop_cap: int | None = None,
                                direction: str = "right") -> list[set[int]]:
@@ -284,6 +326,33 @@ def family_size_bruteforce(d: int, sigma) -> int:
             if x >= tuple(-c for c in x):
                 m += 1
     return m
+
+
+def interleave_py(coords_bits: list[int], d: int, bits: int) -> int:
+    """Morton interleave of the low `bits` bits of d integers, most
+    significant level first, axis d - 1 the top bit of each level."""
+    key = 0
+    for lvl in range(bits - 1, -1, -1):
+        for axis in range(d - 1, -1, -1):
+            key = (key << 1) | ((coords_bits[axis] >> lvl) & 1)
+    return key
+
+
+def ordering_key_py(o, p, w_bits: int = 32) -> int:
+    """The d * w_bits-bit key of point p under ordering o, in Python ints."""
+    q = [int(min(int(((p[a] + o.shift[a]) % 1.0) * (1 << w_bits)),
+                 (1 << w_bits) - 1)) for a in range(o.d)]
+    if o.kind == "morton":
+        key = interleave_py(q, o.d, w_bits)
+        for lvl in range(w_bits):
+            key ^= o.reflection << (o.d * lvl)
+        return key
+    t = o.t
+    cells = [qq >> (w_bits - t) for qq in q]
+    order = sum(v * c for v, c in zip(o.v, cells)) % (1 << (t * o.d))
+    fine = interleave_py([qq & ((1 << (w_bits - t)) - 1) for qq in q],
+                         o.d, w_bits - t)
+    return order * (1 << (o.d * (w_bits - t))) + fine
 
 
 def box_band_count_bruteforce(d: int, r: int, s_lo: int, s_hi: int, step: int) -> int:

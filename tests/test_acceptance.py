@@ -24,10 +24,11 @@ from relspan.harness import AttackSpec, certify, generate_attack
 from relspan.lso import build_ordering_family, check_lso_property
 from relspan.shadow import (check_shadow_bounds, cone_mark_unsafe, shadow_1d,
                             shadow_balls_oracle)
-from relspan.spanner1d import build_G_theta, build_H, h_level_budget
+from relspan.spanner1d import build_G_theta, build_H
 from relspan.spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
 from relspan.streams import substream
 
+from helpers import h_level_budget, save_points
 from oracles import shadow_1d_bruteforce
 
 pytestmark = pytest.mark.acceptance
@@ -252,6 +253,8 @@ def test_criterion_8_lso_property():
     pts = rng.random((100_000, 2))
     o = fam.orderings[7]
     keys = o.keys(pts)
+    assert keys.shape[1] == 1
+    keys = keys[:, 0]
     ids = np.arange(len(pts))
     perm = np.lexsort((ids, keys))
     ks, is_ = keys[perm], ids[perm]
@@ -289,7 +292,6 @@ def test_criterion_10_determinism(tmp_path):
     t0 = time.perf_counter()
     pts = jittered_grid(6, 6, seed=1001)
     pfile = tmp_path / "pts.txt"
-    from relspan.graph_core import save_points
     save_points(pts, pfile)
     commands = {
         "h": ["build", "1d-const", "--n", "64", "--xi", "1/2", "--seed", "5"],

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from relspan.lso import (Ordering, _box_band_count, build_ordering_family,
-                         check_lso_property, family_shape, family_size,
-                         sort_by_ordering)
+from relspan import lso
+from relspan.lso import (W_BITS, Ordering, _box_band_count, _step_v,
+                         build_ordering_family, check_lso_property, family_shape,
+                         family_size, key_ranks, sort_by_ordering)
 from relspan.streams import substream
 
-from oracles import box_band_count_bruteforce, family_size_bruteforce
+from oracles import (box_band_count_bruteforce, family_size_bruteforce,
+                     ordering_key_py)
 
 # M recorded from the enumerating count that family_size replaced
 GOLDEN_M = {
@@ -59,8 +61,9 @@ def test_vector_and_scalar_keys_agree_d2():
     pts = rng.random((64, 2))
     for o in fam.orderings[::37]:
         vec = o.keys(pts)
-        scalar = np.array([o.key_one(p) for p in pts], dtype=np.uint64)
-        assert (vec == scalar).all(), o
+        scalar = np.array([ordering_key_py(o, p) for p in pts], dtype=np.uint64)
+        assert vec.shape[1] == 1
+        assert (vec[:, 0] == scalar).all(), o
 
 
 def test_comparator_totality_sampled():
@@ -69,6 +72,8 @@ def test_comparator_totality_sampled():
     pts = rng.random((2000, 2))
     o = fam.orderings[len(fam.orderings) // 2]
     keys = o.keys(pts)
+    assert keys.shape[1] == 1
+    keys = keys[:, 0]
     ids = np.arange(2000)
     # strict total order including the id tiebreak: sort then every
     # consecutive pair must be strictly increasing in (key, id)
@@ -86,6 +91,8 @@ def test_comparator_transitivity_sampled():
     pts = rng.random((3000, 2))
     for o in (fam.orderings[0], fam.orderings[-1]):
         keys = o.keys(pts)
+        assert keys.shape[1] == 1
+        keys = keys[:, 0]
         tri = rng.integers(0, 3000, size=(2000, 3))
         a, b, c = keys[tri[:, 0]], keys[tri[:, 1]], keys[tri[:, 2]]
         # keys are integers: a<b<c implies a<c automatically; verify no
@@ -171,16 +178,136 @@ def test_d3_family_smoke():
     rng = substream(20, "d3")
     pts = rng.random((40, 3))
     o = fam.orderings[0]
-    keys = [o.key_one(p) for p in pts]
-    assert len(set(keys)) == len(keys)
+    keys = {tuple(row) for row in o.keys(pts).tolist()}
+    assert len(keys) == 40
     perm = sort_by_ordering(o, pts)
     assert sorted(perm.tolist()) == list(range(40))
     step = next(o for o in fam.orderings if o.kind == "step")
-    kp = [step.key_one(p) for p in pts]
-    assert len(set(kp)) == len(kp)
+    kp = {tuple(row) for row in step.keys(pts).tolist()}
+    assert len(kp) == 40
     # witness search works in 3D as well
     res = check_lso_property(fam, pts[0], pts[1], sample_count=60, seed=1)
     assert res.ok in (True, False)
+
+
+# -- keys against the Python-int reference -----------------------------------
+
+def key_points(d: int, seed: int) -> np.ndarray:
+    """Random points plus the edge cases of the quantizer: 0, just below 1,
+    shifted past 1, two pairs of equal points, and a cluster that only the
+    lowest key word tells apart."""
+    pts = substream(seed, "key-points", str(d)).random((36, d))
+    pts[0] = 0.0
+    pts[1] = math.nextafter(1.0, 0.0)
+    pts[2, 0] = 0.0
+    pts[3, -1] = math.nextafter(1.0, 0.0)
+    pts[4:7] += 1.0 + pts[4:7]  # wraps to the fractional part
+    pts[7] = pts[8]
+    pts[9] = pts[1]
+    pts[10:16] = pts[10] + np.arange(5, -1, -1)[:, None] * 2.0 ** -30
+    return pts
+
+
+def assert_keys_match_reference(o: Ordering, pts: np.ndarray) -> None:
+    ref = [ordering_key_py(o, p) for p in pts]
+    keys = o.keys(pts)
+    # the packed words are the reference key, floor(64 / d) levels a word
+    per_word = min(64 // o.d, W_BITS)
+    bits = o.d * W_BITS
+    packed = [0] * len(pts)
+    for k in range(keys.shape[1]):
+        width = o.d * min(per_word, W_BITS - k * per_word)
+        bits -= width
+        for i, word in enumerate(keys[:, k].tolist()):
+            packed[i] |= word << bits
+    assert bits == 0 and packed == ref, o
+    if o.d <= 2:
+        assert keys.shape[1] == 1 and keys[:, 0].tolist() == ref
+    want = sorted(range(len(pts)), key=lambda i: (ref[i], i))
+    assert sort_by_ordering(o, pts).tolist() == want, o
+    ranks = key_ranks(keys)
+    same = np.equal.outer(ranks, ranks)
+    assert (same == np.array([[a == b for b in ref] for a in ref])).all(), o
+
+
+@pytest.mark.parametrize("d, sigma", [(1, 0.5), (2, 0.25), (3, 0.5), (4, 0.9)])
+def test_keys_match_reference(d, sigma):
+    """Every Morton ordering and the step orderings of the coarsest and the
+    finest scale that have any (t_max always has some)."""
+    fam = build_ordering_family(d, sigma)
+    scales = {o.t for o in fam.orderings if o.kind == "step"}
+    assert max(scales) == fam.shape["t_max"]
+    pts = key_points(d, 1)
+    chosen = [o for o in fam.orderings
+              if o.kind == "morton" or o.t in (min(scales), max(scales))]
+    for o in chosen:
+        assert_keys_match_reference(o, pts)
+
+
+def test_d2_spread_masks_are_the_classic_ones():
+    masks = [int(mask) for _, mask in lso._key_layout(2).stages]
+    assert masks == [0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF, 0x0F0F0F0F0F0F0F0F,
+                     0x3333333333333333, 0x5555555555555555]
+    assert [int(shift) for shift, _ in lso._key_layout(2).stages] == [16, 8, 4, 2, 1]
+
+
+@pytest.mark.parametrize("d, t, delta", [(3, 20, (5, -2, 7)), (4, 16, (2, 3, -1, 6)),
+                                         (8, 8, (1, 0, 2, -3, 0, 0, 4, 1))])
+def test_step_keys_up_to_64_bit_cell_order(d, t, delta):
+    """Step orderings built directly at the largest t d the keys support:
+    60 bits (d = 3, t = T_MAX) and 64 bits (d = 4 and 8)."""
+    o = Ordering(0, d, "step", (0.0,) * d, t=t, delta=delta, v=_step_v(delta, t))
+    pts = key_points(d, 2)
+    assert_keys_match_reference(o, pts)
+    # the visiting order wraps past 2^63 in uint64 and still matches
+    assert max(ordering_key_py(o, p) >> (d * (W_BITS - t)) for p in pts) >= 1 << (t * d - 4)
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_reflected_shifted_morton_keys(d):
+    pts = key_points(d, 3)
+    for refl in (1, (1 << d) - 1, 5 % (1 << d)):
+        shift = tuple((a % 3) / 5 for a in range(d))
+        assert_keys_match_reference(Ordering(0, d, "morton", shift, reflection=refl), pts)
+
+
+@pytest.mark.parametrize("d, sigma, stride", [(2, 0.5, 1), (3, 0.5, 97)])
+def test_check_counts_points_between_under_each_ordering(d, sigma, stride):
+    """The checker keys zero-shift orderings from one shared quantization
+    and shifted ones from their own; either way it counts the points whose
+    reference key lies strictly between those of p and q."""
+    fam = build_ordering_family(d, sigma)
+    rng = substream(8, "between", str(d))
+    pts = rng.random((40, d))
+    grid = lso._quantize(pts)
+    dzp = np.linalg.norm(pts[2:] - pts[0], axis=1)
+    dzq = np.linalg.norm(pts[2:] - pts[1], axis=1)
+    orderings = ([o for o in fam.orderings if o.kind == "morton"]
+                 + [o for o in fam.orderings if o.kind == "step"][::stride])
+    assert any(any(o.shift) for o in orderings)
+    for o in orderings:
+        ref = [ordering_key_py(o, p) for p in pts]
+        lo, hi = sorted(ref[:2])
+        want = sum(lo < k < hi for k in ref[2:])
+        # a radius covering everything: the count is always returned
+        assert lso._test_ordering(o, pts, grid, 2.0 * d, dzp, dzq)[1] == want, o
+
+
+def test_family_refused_past_64_bit_cell_order(monkeypatch):
+    """d t_max > 64 is refused before any ordering is listed; the smallest
+    such family, d = 8 at the largest sigma with t_max = 9, is still counted."""
+
+    def no_listing(*args):
+        raise AssertionError("step offsets listed before the 64-bit check")
+
+    monkeypatch.setattr(lso, "_deltas_for_scale", no_listing)
+    sigma = 0.72 * math.sqrt(8) / 2.56
+    while family_shape(8, sigma)["t_max"] < 9:
+        sigma = math.nextafter(sigma, 0.0)
+    assert family_shape(8, math.nextafter(sigma, 1.0))["t_max"] == 8
+    with pytest.raises(ValueError, match="8 \\* 9 exceeds the 64 bits"):
+        build_ordering_family(8, sigma)
+    assert family_size(8, sigma) == 232_203_800
 
 
 @pytest.mark.parametrize("d, sigma", sorted(GOLDEN_M))

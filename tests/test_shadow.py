@@ -7,11 +7,11 @@ import pytest
 from relspan.quadtree import build_quadtree
 from relspan.shadow import (as_fraction, check_shadow_bounds, cone_count,
                             cone_directions_3d, cone_index, cone_mark_unsafe,
-                            shadow_1d, shadow_balls_oracle, shadow_quadtree,
-                            verify_witness)
+                            shadow_1d, shadow_balls_oracle, shadow_quadtree)
 from relspan.streams import substream
 
-from oracles import shadow_1d_bruteforce
+from helpers import verify_witness
+from oracles import shadow_1d_bruteforce, shadow_1d_witnesses_loop
 
 
 def test_as_fraction_forms():
@@ -67,6 +67,31 @@ def test_fast_path_equals_witness_path():
         slow = shadow_1d(n, bad, alpha, witness=True)
         assert fast.members.tolist() == slow.members.tolist()
         assert verify_witness(slow, bad)
+
+
+def test_witnesses_match_scan_oracle():
+    """Members, witness values and witness order equal the Python-int scan,
+    on the int64 scores and on the Python-int ones (q (n + 1) >= 2^62)."""
+    rng = substream(43, "shadow-witness")
+    cases = []
+    for _ in range(300):
+        n = int(rng.integers(1, 80))
+        bad = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        cases.append((n, bad, Fraction(int(rng.integers(1, 17)), 16)))
+    for q in (1 << 62, (1 << 62) + 1, 3 << 70):
+        for _ in range(20):
+            n = int(rng.integers(1, 40))
+            bad = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+            alpha = Fraction(q * int(rng.integers(1, 17)) // 16 - 1, q)
+            assert alpha.denominator * (n + 1) >= 1 << 62
+            cases.append((n, bad, alpha))
+    for n, bad, alpha in cases:
+        for side in ("left", "right", "both"):
+            res = shadow_1d(n, bad, alpha, side=side, witness=True)
+            want = shadow_1d_witnesses_loop(n, bad.tolist(), alpha, side)
+            assert list(res.witnesses.items()) == list(want.items()), (n, bad, alpha, side)
+            assert res.members.tolist() == sorted(want), (n, bad, alpha, side)
+            assert res.members.tolist() == shadow_1d(n, bad, alpha, side=side).members.tolist()
 
 
 def test_monotone_in_alpha_and_b():

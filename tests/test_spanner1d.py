@@ -9,10 +9,11 @@ from relspan.graph_core import monotone_reach_1d
 from relspan.shadow import shadow_1d
 from relspan.spanner1d import (build_G_theta, build_H, canonical_walk,
                                find_exact_path, g_theta_crossover,
-                               h_level_budget, one_path_coverage,
-                               pow2_at_least, shift_start,
+                               one_path_coverage, pow2_at_least, shift_start,
                                shifted_interval_params)
 from relspan.streams import substream
+
+from helpers import edge_set, h_level_budget
 
 
 def test_pow2():
@@ -124,12 +125,12 @@ def test_walk_properties_exhaustive():
 
 def test_h_minimal():
     g = build_H(2, seed=0)
-    assert g.edge_set() == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_h_contains_path_and_budget():
     g = build_H(64, seed=1)
-    edges = g.edge_set()
+    edges = edge_set(g)
     for v in range(63):
         assert (v, v + 1) in edges
     assert g.edge_count >= 63
@@ -141,13 +142,13 @@ def test_h_restriction_invariant():
     # building at n equals building at pow2(n) and keeping ids < n
     full = build_H(32, seed=7)
     cut = build_H(24, seed=7)
-    expect = {(u, v) for (u, v) in full.edge_set() if v < 24}
-    assert cut.edge_set() == expect
+    expect = {(u, v) for (u, v) in edge_set(full) if v < 24}
+    assert edge_set(cut) == expect
 
 
 def test_h_every_block_pair_linked():
     g = build_H(64, xi="1/2", seed=3)  # sparse constant, sampled at upper levels
-    edges = g.edge_set()
+    edges = edge_set(g)
     n_padded = 64
     for lev in range(6):
         size = 1 << lev
@@ -161,7 +162,7 @@ def test_h_every_block_pair_linked():
 def test_h_sampled_determinism():
     a = build_H(128, xi="1/2", seed=5)
     b = build_H(128, xi="1/2", seed=5)
-    assert a.edge_set() == b.edge_set()
+    assert edge_set(a) == edge_set(b)
 
 
 def test_h_reliability_smoke():
@@ -225,7 +226,7 @@ def test_g_theta_layered_build():
     assert g.meta["N"] == 16
     g.validate()
     # G0 band present
-    edges = g.edge_set()
+    edges = edge_set(g)
     for v in range(200):
         assert (v, v + 1) in edges
 

@@ -9,12 +9,13 @@ import pytest
 from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_matrix
 from relspan.lso import build_ordering_family, sort_by_ordering
 from relspan.spanner1d import build_G_theta
-from relspan.quadtree import max_log2_spread
+from relspan.quadtree import max_log2_spread, normalize_unit
 from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
                                        build_hd_spanner, hd_config,
-                                       union_over_orderings)
+                                       hd_rank_permutations, union_over_orderings)
 from relspan.streams import substream
 
+from helpers import edge_set
 from oracles import bounded_spread_oracle, dijkstra_py
 
 
@@ -249,7 +250,7 @@ def test_hd_config_sigma_limit():
 def test_hd_minimal_contains_all_pairs_edge():
     pts = np.array([[0.0, 0.0], [1.0, 0.1], [0.3, 0.9], [0.7, 0.4]])
     g = build_hd_spanner(pts, 0.5, "1/2", seed=0, sub_c=8, sub_mode="experimental")
-    assert (0, 1) in g.edge_set()  # degenerate regime: clique
+    assert (0, 1) in edge_set(g)  # degenerate regime: clique
 
 
 def test_hd_degenerate_regime_and_theta_prime():
@@ -277,13 +278,12 @@ def test_union_reconstruction_matches_builder_fast_path():
     pts = jittered_grid(4, 5, seed=9)
     g = build_hd_spanner(pts, 0.5, "1/2", seed=3, sub_c=8, sub_mode="experimental")
     n = g.n
-    from relspan.quadtree import normalize_unit
     normed, _, _ = normalize_unit(pts, margin=g.meta["norm_margin"])
     family = build_ordering_family(2, g.meta["sigma"])
     sink = EdgeSink(n)
     union_over_orderings(normed, family.orderings[:3], Fraction(g.meta["theta_prime"]),
                          g.meta["sub_c"], g.meta["sub_mode"], g.meta["seed"], sink)
-    assert WeightedGraph.from_pairs(n, *sink.extract()).edge_set() == g.edge_set()
+    assert edge_set(WeightedGraph.from_pairs(n, *sink.extract())) == edge_set(g)
 
 
 def test_union_layered_path_is_exact_union():
@@ -296,7 +296,7 @@ def test_union_layered_path_is_exact_union():
     theta_prime = Fraction(7, 10)
     sink = EdgeSink(n)
     union_over_orderings(normed, orderings, theta_prime, 4, "experimental", 11, sink)
-    got = WeightedGraph.from_pairs(n, *sink.extract()).edge_set()
+    got = edge_set(WeightedGraph.from_pairs(n, *sink.extract()))
     expect = set()
     from relspan.streams import subseed
     for o in orderings:
@@ -309,6 +309,64 @@ def test_union_layered_path_is_exact_union():
     assert got == expect
 
 
+def pin_grid(shape, seed):
+    axes = np.meshgrid(*[np.arange(k, dtype=np.float64) for k in shape], indexing="ij")
+    pts = np.stack([a.ravel() for a in axes], axis=1)
+    return pts + substream(seed, "pin-grid").uniform(-0.2, 0.2, size=pts.shape)
+
+
+def int64_sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# recorded with the Python-int keys of d >= 3 and the separate d = 1, 2 paths
+UNION_PINS = {
+    (8, 8): (0.25, (0, 21, 32, 577, 1121), 1971,
+             "358658c557220a983dbf5faa51980665940a4b47359b224af91525ec4ffe6708",
+             "1e4d960b4e46ae735c30d44ad2b391dc21adbcd7568281fe7864e5fca773ca4d"),
+    (4, 4, 4): (0.5, (0, 5, 8, 2483, 4958), 1959,
+                "fe6ea94e84cb5a7a7d54c7b1cbe05559084aba66447c9fd08a0ff1aee97d21ea",
+                "ec3605724e579b9f7e4ece3b86d0b6794686d1c23cc242cbda72bf83409e10d8"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNION_PINS))
+def test_union_over_orderings_pinned(shape):
+    """Morton orderings (one reflected in d = 2) and step orderings of the
+    coarsest, a middle and the finest scale, on sparse rank graphs."""
+    sigma, ids, edges, union_sha, perm_sha = UNION_PINS[shape]
+    normed, _, _ = normalize_unit(pin_grid(shape, 1), margin=NORM_MARGIN)
+    orderings = [build_ordering_family(len(shape), sigma).orderings[i] for i in ids]
+    assert {o.kind for o in orderings} == {"morton", "step"}
+    n = normed.shape[0]
+    sink = EdgeSink(n)
+    union_over_orderings(normed, orderings, Fraction(9, 10), 1, "experimental", 11, sink, 1)
+    g = WeightedGraph.from_pairs(n, *sink.extract())
+    assert g.edge_count == edges
+    assert int64_sha256(g.u, g.v) == union_sha
+    assert int64_sha256(*[sort_by_ordering(o, normed) for o in orderings]) == perm_sha
+
+
+def test_hd_rank_permutations_pinned():
+    g = build_hd_spanner(pin_grid((8, 8), 2), 0.99, "1/2", seed=1, sub_c=8,
+                         sub_mode="experimental")
+    family, perms = hd_rank_permutations(g)
+    assert family.M == 17880
+    assert int64_sha256(*perms) == "46054d6b85685c3a0413149cce9544238049394828aaf5fe7f85bb43a764378a"
+    # d = 3 through a hand-made graph, to keep the family at M = 4959
+    pts = pin_grid((4, 4, 4), 3)
+    _, scale, offset = normalize_unit(pts, margin=NORM_MARGIN)
+    g3 = WeightedGraph.from_pairs(64, [0], [1], positions=pts, meta={
+        "d": 3, "sigma": 0.5, "norm_offset": offset.tolist(), "norm_scale": scale,
+        "norm_margin": NORM_MARGIN})
+    family, perms = hd_rank_permutations(g3)
+    assert family.M == 4959
+    assert int64_sha256(*perms) == "f3aa2bcd3d746c5ea829c848f056c4df4616ca0dbfee22150285717ca13df7b8"
+
+
 def test_hd_requires_enough_points():
     with pytest.raises(ValueError):
         build_hd_spanner(np.array([[0.5, 0.5]]), 0.5, "1/2")
@@ -317,7 +375,7 @@ def test_hd_requires_enough_points():
 def test_hd_two_points_single_edge():
     g = build_hd_spanner(np.array([[0.0, 0.0], [1.0, 1.0]]), 0.5, "1/2",
                          sub_c=8, sub_mode="experimental")
-    assert g.edge_set() == {(0, 1)}
+    assert edge_set(g) == {(0, 1)}
 
 
 def test_climb_up_reach_fraction():
