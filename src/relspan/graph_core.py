@@ -9,6 +9,9 @@ Every builder marks its edges in one EdgeSink, and every graph, built or
 loaded, goes through WeightedGraph.from_pairs, the one place that orients,
 drops self-loops, sorts and deduplicates edges.
 
+An edge file holds one decimal "u v" line per canonical edge.  It stores no
+weights: loading recomputes them from the metric, as for any other edge list.
+
 The path oracles are Dijkstra over the alive subgraph (Euclidean stretch) and
 a batched monotone breadth-first search on the line (exact 1D paths).
 """
@@ -16,6 +19,7 @@ a batched monotone breadth-first search on the line (exact 1D paths).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +29,7 @@ from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.spatial import cKDTree
 
 REL_TOL = 1e-9  # relative tolerance for path-length comparisons
+SAVE_CHUNK = 1 << 18  # edges formatted and written at a time by save_edges
 
 
 # ---------------------------------------------------------------------------
@@ -227,34 +232,46 @@ class WeightedGraph:
 
     # -- serialization -------------------------------------------------------
 
-    def edge_lines(self) -> str:
-        out = []
-        for a, b, ww in zip(self.u.tolist(), self.v.tolist(), self.w.tolist()):
-            out.append(f"{a} {b} {ww!r}")
-        return "\n".join(out) + ("\n" if out else "")
-
     def save_edges(self, path) -> None:
-        Path(path).write_text(self.edge_lines(), encoding="utf-8")
+        """Write one decimal "u v" line per edge, SAVE_CHUNK edges at a time."""
+        with open(path, "wb") as fh:
+            for start in range(0, self.u.size, SAVE_CHUNK):
+                stop = start + SAVE_CHUNK
+                fh.write(_edge_text(self.u[start:stop], self.v[start:stop]))
+
+
+def _edge_text(u: np.ndarray, v: np.ndarray) -> bytes:
+    """ASCII "u v\n" lines of non-negative ids: a fixed-width uint8 digit
+    array per line with the leading zeros masked out."""
+    width = len(str(int(max(u.max(), v.max()))))
+    text = np.empty((u.size, 2 * width + 2), dtype=np.uint8)
+    keep = np.ones(text.shape, dtype=bool)
+    text[:, width] = ord(" ")
+    text[:, -1] = ord("\n")
+    for first, ids in ((0, u), (width + 1, v)):
+        for k in range(width):
+            place = 10 ** (width - 1 - k)
+            text[:, first + k] = ids // place % 10 + ord("0")
+            if place > 1:
+                keep[:, first + k] = ids >= place
+    return text[keep].tobytes()
 
 
 def load_edge_list(path, n: int | None = None, positions=None,
                    line: bool = False, meta: dict | None = None) -> WeightedGraph:
-    """Read "u v w" lines into a canonical graph.
+    """Read "u v" lines into a canonical graph; n defaults to the largest id + 1.
 
-    The stored weight is ignored: from_pairs canonicalizes the edges, checks
-    every id against n and recomputes each weight from the metric.
+    Blank lines are skipped and fields after the second ignored, so files
+    with a third "w" column load too.  from_pairs canonicalizes the edges,
+    checks every id against n and computes each weight from the metric.
     """
-    us, vs = [], []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        raw = raw.strip()
-        if not raw:
-            continue
-        a, b, _ = raw.split()
-        us.append(int(a))
-        vs.append(int(b))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        pairs = np.loadtxt(path, dtype=np.int64, usecols=(0, 1), ndmin=2, comments=None)
     if n is None:
-        n = (max(max(us), max(vs)) + 1) if us else 0
-    return WeightedGraph.from_pairs(n, us, vs, positions=positions, line=line, meta=meta)
+        n = int(pairs.max()) + 1 if pairs.size else 0
+    return WeightedGraph.from_pairs(n, pairs[:, 0], pairs[:, 1], positions=positions,
+                                    line=line, meta=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,11 @@ def canonical_edges_bruteforce(pairs) -> list[tuple[int, int]]:
     return sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
 
 
+def edge_text_py(u, v) -> str:
+    """The text of an edge file: one decimal "u v" line per edge."""
+    return "".join(map("{} {}\n".format, np.asarray(u).tolist(), np.asarray(v).tolist()))
+
+
 def shadow_quadtree_walk(tree, bad, gamma: Fraction):
     """(members, shadowed nodes, maximal nodes) of the gamma-quadtree shadow
     by one bottom-up walk.
