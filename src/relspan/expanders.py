@@ -19,18 +19,20 @@ import numpy as np
 
 from .graph_core import EdgeSink, WeightedGraph
 from .shadow import _INT64_SAFE, as_fraction
-from .streams import subseed, substream
+from .streams import rekey, subseed, substream
 
 _MAX_DRAWS = 200_000_000  # refuse sample plans beyond this many draws
-_BLOCK_BATCH = 1 << 20  # pairs of saturated blocks marked per batch
+_BLOCK_BATCH = 1 << 16  # pairs handed to the sink per batch
+_BIG_BLOCK = 256  # saturated blocks of this many pairs or more: one add_block each
 
 
 def bipartite_degree_constant(xi: Fraction) -> int:
     return math.ceil(Fraction(3) / (xi * xi))
 
 
-def _sample_plan(a, b, xi: Fraction, c_override: int | None) -> dict:
-    """The plan formula, on Python ints or elementwise on integer arrays."""
+def bipartite_sample_plan(a, b, xi: Fraction, c_override: int | None = None) -> dict:
+    """Per-vertex sample counts, budget and the saturation decision for sides
+    a, b: on Python ints, or elementwise on integer arrays."""
     c = c_override if c_override is not None else bipartite_degree_constant(xi)
     ntot = a + b
     ell_left = c * -(-ntot // a)
@@ -54,88 +56,72 @@ def bipartite_sample_plans(a, b, xi: Fraction, c_override: int | None = None) ->
     # a * c * ceil((a + b) / a) < 2 c (a + b), and likewise on the right
     if 4 * c * (int((a + b).max(initial=0)) + 1) >= _INT64_SAFE:
         a, b = a.astype(object), b.astype(object)
-    plans = _sample_plan(a, b, xi, c)
+    plans = bipartite_sample_plan(a, b, xi, c)
     plans["saturated"] = plans["saturated"].astype(bool)
     return plans
 
 
-def bipartite_sample_plan(a: int, b: int, xi: Fraction,
-                          c_override: int | None = None) -> dict:
-    """Per-vertex sample counts and the saturation decision for sides a, b."""
-    return _sample_plan(int(a), int(b), xi, c_override)
+def _batches(counts: np.ndarray):
+    """Slices [lo, hi) of consecutive blocks holding at most _BLOCK_BATCH
+    items together, or one block that alone holds more."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < ends.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_BATCH, side="right")))
+        yield lo, hi
+        lo = hi
 
 
-def _sample_into_sink(sink, lids: np.ndarray, rids: np.ndarray, ell_left: int,
-                      ell_right: int, budget: int, seed: int, labels: tuple) -> None:
-    """The sampled expander between lids and rids: each left vertex draws
-    ell_left right neighbors from substream (seed, *labels, "L"), and each
-    right vertex ell_right left ones from (seed, *labels, "R")."""
-    if budget > _MAX_DRAWS:
-        raise ValueError(f"sampling budget {budget} exceeds the draw limit; "
-                         "use degree_constant_override for experiments at this size")
-    a, b = lids.size, rids.size
-    jl = substream(seed, *labels, "L").integers(0, b, size=a * ell_left)
-    sink.add_pairs(np.repeat(lids, ell_left), rids[jl])
-    ir = substream(seed, *labels, "R").integers(0, a, size=b * ell_right)
-    sink.add_pairs(lids[ir], np.repeat(rids, ell_right))
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The run t of every item of consecutive runs of counts[t] items, and
+    its offset in that run."""
+    run = np.repeat(np.arange(counts.size), counts)
+    return run, np.arange(run.size) - (np.cumsum(counts) - counts)[run]
 
 
-def bipartite_into_sink(sink, left, right, xi: Fraction, seed: int, labels: tuple,
-                        c_override: int | None = None) -> dict:
-    """Emit one bipartite expander layer between the id arrays left and right
-    into an edge sink.  The plan dict is returned so builders can account
-    budgets."""
-    lids = np.asarray(left, dtype=np.int64)
-    rids = np.asarray(right, dtype=np.int64)
-    a, b = lids.size, rids.size
-    if a < 1 or b < 1:
-        raise ValueError("expander sides must be nonempty")
-    plan = bipartite_sample_plan(a, b, xi, c_override)
-    if plan["saturated"]:
-        sink.add_block(lids, rids)
-    else:
-        _sample_into_sink(sink, lids, rids, plan["ell_left"], plan["ell_right"],
-                          plan["budget"], seed, labels)
-    return plan
-
-
-def blocks_into_sink(sink, ptr: np.ndarray, ids: np.ndarray, left: np.ndarray,
-                     right: np.ndarray, xi: Fraction, seed: int, labels,
-                     c_override: int | None = None) -> int:
-    """bipartite_into_sink for many blocks at once: block i joins the id runs
-    ids[ptr[left[i]]:ptr[left[i] + 1]] and ids[ptr[right[i]]:ptr[right[i] + 1]],
-    with the labels labels(i).
-
-    Saturated blocks are marked in batches of at most _BLOCK_BATCH pairs;
-    each unsaturated one draws from its own substreams, as
-    bipartite_into_sink does, so the marks are the same as one
-    bipartite_into_sink call per block.  Returns the blocks' total budget.
-    """
-    start_l, start_r = ptr[left], ptr[right]
-    size_l, size_r = ptr[left + 1] - start_l, ptr[right + 1] - start_r
+def blocks_into_sink(sink, ids: np.ndarray, start_l, size_l, start_r, size_r,
+                     xi: Fraction, seed: int, labels, c_override: int | None = None) -> int:
+    """Emit a bipartite expander per block into an edge sink; returns the
+    total budget.  Block i joins ids[start_l[i]:][:size_l[i]] to
+    ids[start_r[i]:][:size_r[i]]: completely when saturated, else each left
+    vertex draws ell_left right neighbors from the stream (seed, *labels(i),
+    "L") and each right one ell_right left ones from (..., "R").  Nothing is
+    drawn or marked if a sampled block exceeds _MAX_DRAWS."""
+    start_l, size_l, start_r, size_r = (np.asarray(x, dtype=np.int64)
+                                        for x in (start_l, size_l, start_r, size_r))
     if size_l.size and min(int(size_l.min()), int(size_r.min())) < 1:
         raise ValueError("expander sides must be nonempty")
     plans = bipartite_sample_plans(size_l, size_r, xi, c_override)
-    sat = np.nonzero(plans["saturated"])[0]
-    pairs = size_l[sat] * size_r[sat]
-    ends = np.cumsum(pairs)
-    lo = 0
-    while lo < sat.size:
-        done = int(ends[lo - 1]) if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _BLOCK_BATCH, side="right")))
-        cnt = pairs[lo:hi]
-        block = np.repeat(sat[lo:hi], cnt)
-        # k-th pair of a block: left member k // b, right member k % b
-        k = np.arange(block.size) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        b = size_r[block]
-        sink.add_pairs(ids[start_l[block] + k // b], ids[start_r[block] + k % b])
-        lo = hi
-    for i in np.nonzero(~plans["saturated"])[0].tolist():
-        _sample_into_sink(sink, ids[start_l[i]:start_l[i] + size_l[i]],
-                          ids[start_r[i]:start_r[i] + size_r[i]],
-                          int(plans["ell_left"][i]), int(plans["ell_right"][i]),
-                          int(plans["budget"][i]), seed, labels(i))
-    budget = plans["budget"]
+    budget, sat = plans["budget"], plans["saturated"]
+    drawn = np.flatnonzero(~sat)
+    over = np.flatnonzero(budget[drawn] > _MAX_DRAWS)
+    if over.size:
+        raise ValueError(f"sampling budget {budget[drawn[over[0]]]} exceeds the draw limit; "
+                         "use degree_constant_override for experiments at this size")
+    pairs = size_l * size_r
+    for i in np.flatnonzero(sat & (pairs >= _BIG_BLOCK)).tolist():
+        sink.add_block(ids[start_l[i]:][:size_l[i]], ids[start_r[i]:][:size_r[i]])
+    small = np.flatnonzero(sat & (pairs < _BIG_BLOCK))
+    for lo, hi in _batches(pairs[small]):
+        blk = small[lo:hi]
+        run, k = _spread(pairs[blk])  # k-th pair: left member k // b, right k % b
+        b = size_r[blk][run]
+        sink.add_pairs(ids[start_l[blk][run] + k // b], ids[start_r[blk][run] + k % b])
+    ell_l, ell_r = (plans[key][drawn].astype(np.int64) for key in ("ell_left", "ell_right"))
+    gen = substream(seed) if drawn.size else None
+    for lo, hi in _batches(budget[drawn].astype(np.int64)):
+        blk, el, er = drawn[lo:hi], ell_l[lo:hi], ell_r[lo:hi]
+        left, right = [], []
+        for i, sl, a, sr, b, x, y in np.stack([blk, start_l[blk], size_l[blk], start_r[blk],
+                                               size_r[blk], el, er], axis=1).tolist():
+            # integers(s, s + b) draws s + integers(0, b): positions in ids
+            left.append(rekey(gen, seed, *labels(i), "L").integers(sr, sr + b, size=a * x))
+            right.append(rekey(gen, seed, *labels(i), "R").integers(sl, sl + a, size=b * y))
+        run, k = _spread(size_l[blk])
+        sink.add_pairs(np.repeat(ids[start_l[blk][run] + k], el[run]), ids[np.concatenate(left)])
+        run, k = _spread(size_r[blk])
+        sink.add_pairs(ids[np.concatenate(right)], np.repeat(ids[start_r[blk][run] + k], er[run]))
     if budget.dtype != object and int(budget.max(initial=0)) * budget.size < _INT64_SAFE:
         return int(budget.sum())
     return sum(budget.tolist())  # Python ints: the int64 sum could wrap
@@ -155,8 +141,8 @@ def build_bipartite_expander(left_size: int, right_size: int, xi, seed: int = 0,
         raise ValueError("xi must be in (0, 1)")
     n = left_size + right_size
     sink = EdgeSink(n)
-    plan = bipartite_into_sink(sink, np.arange(left_size), np.arange(left_size, n), xi,
-                               seed, ("bipartite",), degree_constant_override)
+    blocks_into_sink(sink, np.arange(n), [0], [left_size], [left_size], [right_size], xi, seed,
+                     lambda i: ("bipartite",), degree_constant_override)
     u, v = sink.extract()
     meta = {
         "kind": "bipartite_expander",
@@ -164,7 +150,7 @@ def build_bipartite_expander(left_size: int, right_size: int, xi, seed: int = 0,
         "right_size": right_size,
         "xi": str(xi),
         "seed": seed,
-        "plan": plan,
+        "plan": bipartite_sample_plan(left_size, right_size, xi, degree_constant_override),
         "experimental": degree_constant_override is not None,
     }
     return WeightedGraph.from_pairs(n, u, v, meta=meta)

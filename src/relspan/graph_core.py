@@ -30,6 +30,7 @@ from scipy.spatial import cKDTree
 
 REL_TOL = 1e-9  # relative tolerance for path-length comparisons
 SAVE_CHUNK = 1 << 18  # edges formatted and written at a time by save_edges
+MAX_N = math.isqrt(2 ** 63 - 1)  # from_pairs keys an edge lo * n + hi < n^2 in int64
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +158,8 @@ class WeightedGraph:
         duplicates and weights each edge by the metric: |u - v| on the line,
         Euclidean distance with positions, 1 otherwise.
         """
+        if n > MAX_N:
+            raise ValueError(f"n = {n} exceeds {MAX_N}, past which edge keys overflow int64")
         u = np.asarray(u, dtype=np.int64)
         v = np.asarray(v, dtype=np.int64)
         if u.size:

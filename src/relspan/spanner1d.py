@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph_core import (EdgeSink, WeightedGraph, clean_vertex_set, monotone_hops,
                          vertex_ids)
-from .expanders import bipartite_into_sink
+from .expanders import blocks_into_sink
 from .shadow import as_fraction
 
 
@@ -112,15 +112,13 @@ def build_H(n: int, xi=Fraction(1, 16), seed: int = 0,
     n_padded = pow2_at_least(n)
     h = n_padded.bit_length() - 1
     sink = EdgeSink(n_padded)
-    budget = 0
-    for lev in range(h):
-        size = 1 << lev
-        for k in range((n_padded >> lev) - 1):
-            plan = bipartite_into_sink(sink, np.arange(k * size, (k + 1) * size),
-                                       np.arange((k + 1) * size, (k + 2) * size),
-                                       xi, seed, ("h", lev, k),
-                                       degree_constant_override)
-            budget += plan["budget"]
+    # block (lev, k) joins the k-th and (k+1)-th blocks of size 2^lev
+    lev = np.concatenate([np.full((n_padded >> i) - 1, i) for i in range(h)])
+    k = np.concatenate([np.arange((n_padded >> i) - 1) for i in range(h)])
+    size = 1 << lev
+    budget = blocks_into_sink(sink, np.arange(n_padded), k * size, size, (k + 1) * size, size,
+                              xi, seed, lambda t: ("h", int(lev[t]), int(k[t])),
+                              degree_constant_override)
     u, v = sink.extract()
     keep = np.maximum(u, v) < n
     cert = _h_certificate(xi)
@@ -151,7 +149,8 @@ def shifted_interval_params(theta, c: int = 512) -> tuple[int, Fraction]:
 
 
 def shift_start(i: int, j: int, N: int) -> int:
-    """0-based start of the j-th shifted run at resolution i (may be < 0)."""
+    """0-based start of the j-th shifted run at resolution i (may be < 0);
+    elementwise on integer arrays."""
     step = (1 << i) // N
     return (j - 1) * step - (1 << i)
 
@@ -193,21 +192,20 @@ def build_G_theta(n: int, theta, c: int = 512, seed: int = 0,
         warnings.append(f"3N={3 * N} covers the whole line: graph is the clique via G0")
     else:
         sink.add_band(3 * N)
-        for i in range(i0, h):
-            size = 1 << i
-            for j in range(1, N + 1):
-                s0 = shift_start(i, j, N)
-                for k in range(n_padded // size):
-                    a0, a1 = s0 + k * size, s0 + (k + 1) * size
-                    b0, b1 = a1, s0 + (k + 2) * size
-                    a0, a1 = max(a0, 0), min(a1, n)
-                    b0, b1 = max(b0, 0), min(b1, n)
-                    if a1 - a0 < 2 or b1 - b0 < 2:
-                        continue  # clipped to fewer than 2 positions: skip
-                    plan = bipartite_into_sink(sink, np.arange(a0, a1), np.arange(b0, b1),
-                                               xi, seed, ("gt", i, j, k),
-                                               degree_constant_override)
-                    budget += plan["budget"]
+        # block (i, j, k): [s + k 2^i, s + (k+1) 2^i) and the next such interval,
+        # s = shift_start(i, j, N), clipped to [0, n); for k >= n_padded >> i the next is empty
+        i, j, k = np.indices((h - i0, N, n_padded >> i0)).reshape(3, -1)
+        i, j = i + i0, j + 1
+        size = 1 << i
+        a0 = shift_start(i, j, N) + k * size
+        lo_a, hi_a = np.maximum(a0, 0), np.minimum(a0 + size, n)
+        lo_b, hi_b = np.maximum(a0 + size, 0), np.minimum(a0 + 2 * size, n)
+        keep = (hi_a - lo_a >= 2) & (hi_b - lo_b >= 2)  # else clipped to < 2 positions
+        il, jl, kl = (x[keep].tolist() for x in (i, j, k))
+        budget = blocks_into_sink(sink, np.arange(n), lo_a[keep], (hi_a - lo_a)[keep],
+                                  lo_b[keep], (hi_b - lo_b)[keep], xi, seed,
+                                  lambda t: ("gt", il[t], jl[t], kl[t]),
+                                  degree_constant_override)
     u, v = sink.extract()
     cert = 1 - theta / 4
     meta = {

@@ -60,11 +60,12 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     pairs = build_wspd(tree, separation)
     xi = theta / 8
     sink = EdgeSink(n)
-    arrays = tree.arrays
-    budget = blocks_into_sink(sink, arrays.point_ptr, arrays.point_ids, pairs.u, pairs.v,
+    ptr, ids = tree.arrays.point_ptr, tree.arrays.point_ids  # cell c: ids[ptr[c]:ptr[c + 1]]
+    size = np.diff(ptr)
+    budget = blocks_into_sink(sink, ids, ptr[pairs.u], size[pairs.u], ptr[pairs.v], size[pairs.v],
                               xi, seed, lambda i: ("wspd", i), degree_constant_override)
     parent, ia, ib, left, right = sibling_pairs(tree)
-    budget += blocks_into_sink(sink, arrays.point_ptr, arrays.point_ids, left, right, xi, seed,
+    budget += blocks_into_sink(sink, ids, ptr[left], size[left], ptr[right], size[right], xi, seed,
                                lambda i: ("sib", int(parent[i]), int(ia[i]), int(ib[i])),
                                degree_constant_override)
     u, v = sink.extract()

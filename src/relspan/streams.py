@@ -1,9 +1,12 @@
 """Deterministic named random streams.
 
 Every random choice in the library flows from a single 64-bit seed through
-named Philox substreams.  Philox is counter-based and platform-independent,
-and the substream key is derived by hashing the label path, so results do
-not depend on call order, thread scheduling, or PYTHONHASHSEED.
+named Philox substreams.  The stream (seed, *labels) is Philox keyed by the
+first 16 bytes of the sha256 of the label path, at counter 0, so results do
+not depend on call order, thread scheduling, or PYTHONHASHSEED; Philox is
+counter-based and platform-independent.  substream builds a generator at
+that start; rekey moves an existing one there, which draws the same without
+a new generator (each sampled expander block draws two streams).
 """
 
 from __future__ import annotations
@@ -22,6 +25,15 @@ def _key(seed: int, labels: tuple) -> np.ndarray:
 def substream(seed: int, *labels) -> np.random.Generator:
     """Return an independent generator for (seed, *labels)."""
     return np.random.Generator(np.random.Philox(key=_key(seed, labels)))
+
+
+def rekey(gen: np.random.Generator, seed: int, *labels) -> np.random.Generator:
+    """Reset gen, a Generator over Philox, to the start of substream(seed, *labels)."""
+    zero = np.zeros(4, dtype=np.uint64)
+    gen.bit_generator.state = {"bit_generator": "Philox", "buffer": zero, "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0,
+                               "state": {"counter": zero, "key": _key(seed, labels)}}
+    return gen
 
 
 def subseed(seed: int, *labels) -> int:

@@ -1,8 +1,10 @@
-"""Small test helpers over the library's public objects: graph views, point
-files, witness replay and the analytic H budget."""
+"""Small test helpers over the library's public objects: graph views and
+hashes, point files, witness replay and the analytic H budget."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,15 @@ from relspan.spanner1d import pow2_at_least
 def edge_set(g) -> set[tuple[int, int]]:
     """The edges of g as a set of (u, v) pairs with u < v."""
     return set(zip(g.u.tolist(), g.v.tolist()))
+
+
+def graph_sha256(g) -> tuple[str, str]:
+    """sha256 of (n, u, v, w) as little-endian words, and of the meta as
+    sorted JSON: the pins of a graph's edges and of its meta."""
+    h = hashlib.sha256(np.int64(g.n).astype("<i8").tobytes())
+    for arr, dtype in ((g.u, "<i8"), (g.v, "<i8"), (g.w, "<f8")):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest(), hashlib.sha256(json.dumps(g.meta, sort_keys=True).encode()).hexdigest()
 
 
 def degrees(g) -> np.ndarray:

@@ -446,15 +446,108 @@ def sample_plan_py(a: int, b: int, xi: Fraction, c_override=None) -> dict:
             "saturated": ell_left >= b and ell_right >= a}
 
 
+def expander_block_oracle(mat: np.ndarray, left, right, xi: Fraction, seed: int,
+                          labels: tuple, c_override=None) -> dict:
+    """Mark one bipartite expander between the id lists left and right in
+    the boolean matrix mat, at [left id, right id], and return its plan.  A
+    saturated expander is the complete bipartite block; a sampled one draws
+    ell_left right neighbors per left vertex from substream(seed, *labels,
+    "L") and ell_right left neighbors per right vertex from (..., "R"),
+    marked one pair at a time."""
+    left, right = list(left), list(right)
+    plan = sample_plan_py(len(left), len(right), xi, c_override)
+    if plan["saturated"]:
+        mat[np.ix_(left, right)] = True
+        return plan
+    jl = substream(seed, *labels, "L").integers(0, len(right), size=len(left) * plan["ell_left"])
+    for k, j in enumerate(jl.tolist()):
+        mat[left[k // plan["ell_left"]], right[j]] = True
+    ir = substream(seed, *labels, "R").integers(0, len(left), size=len(right) * plan["ell_right"])
+    for k, i in enumerate(ir.tolist()):
+        mat[left[i], right[k // plan["ell_right"]]] = True
+    return plan
+
+
+def _pow2(x) -> int:
+    t = 1
+    while t < x:
+        t <<= 1
+    return t
+
+
+def build_H_oracle(n: int, xi: Fraction = Fraction(1, 16), seed: int = 0,
+                   c_override=None) -> tuple[list, list, dict]:
+    """(u, v, meta) of the block-tree spanner, one expander at a time: for
+    every level lev and k, the k-th and (k+1)-th blocks of size 2^lev of
+    [0, pow2(n)), labelled ("h", lev, k); edges past n are dropped."""
+    n_padded = _pow2(n)
+    mat = np.zeros((n_padded, n_padded), dtype=bool)
+    budget = 0
+    for lev in range(n_padded.bit_length() - 1):
+        size = 1 << lev
+        for k in range((n_padded >> lev) - 1):
+            budget += expander_block_oracle(mat, range(k * size, (k + 1) * size),
+                                            range((k + 1) * size, (k + 2) * size), xi, seed,
+                                            ("h", lev, k), c_override)["budget"]
+    u, v = np.nonzero(mat[:n, :n])
+    cert = min(Fraction(1, 32), (Fraction(1, 4) - xi) / 2) / 3 if xi < Fraction(1, 4) else None
+    meta = {"kind": "h1d", "n": n, "n_padded": n_padded, "xi": str(xi), "seed": seed,
+            "sample_budget": budget, "experimental": c_override is not None,
+            "cert_alpha": str(cert) if cert is not None else None,
+            "bplus_factor": 2 * (1 + math.ceil(1 / cert)) if cert is not None else None}
+    return u.tolist(), v.tolist(), meta
+
+
+def build_G_theta_oracle(n: int, theta: Fraction, c: int, seed: int, mode: str,
+                         c_override=None) -> tuple[list, list, dict]:
+    """(u, v, meta) of the shifted-interval spanner, one expander at a time:
+    N = pow2(c / theta^2), xi = 1 / (32 N), the band of width 3N (the whole
+    line once 3N >= n - 1), and for every resolution i >= log2 N, shift
+    j = 1..N and k, the intervals [s + k 2^i, s + (k+1) 2^i) and
+    [s + (k+1) 2^i, s + (k+2) 2^i) with s = (j - 1) 2^i / N - 2^i, clipped
+    to [0, n), labelled ("gt", i, j, k) and skipped when either side keeps
+    fewer than 2 positions."""
+    N = _pow2(Fraction(c) / (theta * theta))
+    xi = Fraction(1, 32 * N)
+    n_padded = _pow2(n)
+    h = n_padded.bit_length() - 1
+    regime, warnings = "layered", []
+    if N >= n:
+        warnings.append(f"N={N} >= n={n}: construction degenerates to the near-clique G0")
+        regime = "degenerate"
+    width = n - 1 if 3 * N >= n - 1 else 3 * N
+    gap = np.subtract.outer(np.arange(n), np.arange(n))
+    mat = (gap < 0) & (gap >= -width)
+    budget = 0
+    if 3 * N >= n - 1:
+        regime = "g0_clique"
+        warnings.append(f"3N={3 * N} covers the whole line: graph is the clique via G0")
+    else:
+        for i in range(N.bit_length() - 1, h):
+            size = 1 << i
+            for j in range(1, N + 1):
+                s = (j - 1) * (size // N) - size
+                for k in range(n_padded // size):
+                    a = range(max(s + k * size, 0), min(s + (k + 1) * size, n))
+                    b = range(max(s + (k + 1) * size, 0), min(s + (k + 2) * size, n))
+                    if len(a) >= 2 and len(b) >= 2:
+                        budget += expander_block_oracle(mat, a, b, xi, seed, ("gt", i, j, k),
+                                                        c_override)["budget"]
+    u, v = np.nonzero(mat)
+    meta = {"kind": "g_theta", "n": n, "n_padded": n_padded, "theta": str(theta), "c": c,
+            "N": N, "xi": str(xi), "mode": mode, "regime": regime, "warnings": warnings,
+            "seed": seed, "sample_budget": budget,
+            "experimental": mode == "experimental" or c_override is not None,
+            "cert_alpha": str(1 - theta / 4), "bplus_factor": str(1 + theta), "hop_cap": 2 * h}
+    return u.tolist(), v.tolist(), meta
+
+
 def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0,
                           c_override=None) -> tuple[int, list, list, dict]:
     """(n, u, v, meta) of the bounded-spread construction, one expander at a
     time: a bipartite expander per WSPD pair i, labelled ("wspd", i), and
     one per pair of sibling cells (a, b) of a node, labelled
-    ("sib", node, a, b).  A saturated expander is the complete bipartite
-    block; a sampled one draws ell_left right neighbors per left vertex from
-    substream(seed, *labels, "L") and ell_right left neighbors per right
-    vertex from (..., "R")."""
+    ("sib", node, a, b), each marked by expander_block_oracle."""
     coords = np.asarray(points, dtype=np.float64)
     ps = PointSet(coords)
     n = ps.n
@@ -464,22 +557,13 @@ def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0
     separation = 6.0 / epsilon
     pairs = wspd_recursive(tree, separation)
     xi = theta / 8
-    marks: set[tuple[int, int]] = set()
+    mat = np.zeros((n, n), dtype=bool)
     budget = 0
 
     def expander(left, right, labels):
         nonlocal budget
-        plan = sample_plan_py(len(left), len(right), xi, c_override)
-        budget += plan["budget"]
-        if plan["saturated"]:
-            marks.update((x, y) for x in left for y in right)
-            return
-        jl = substream(seed, *labels, "L").integers(0, len(right),
-                                                    size=len(left) * plan["ell_left"])
-        marks.update((left[k // plan["ell_left"]], right[j]) for k, j in enumerate(jl.tolist()))
-        ir = substream(seed, *labels, "R").integers(0, len(left),
-                                                    size=len(right) * plan["ell_right"])
-        marks.update((left[i], right[k // plan["ell_right"]]) for k, i in enumerate(ir.tolist()))
+        budget += expander_block_oracle(mat, left, right, xi, seed, labels,
+                                        c_override)["budget"]
 
     nodes = tree.nodes
     for i, (u, v, _) in enumerate(pairs):
@@ -512,5 +596,5 @@ def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0
         "norm_offset": offset.tolist(),
         "norm_margin": margin,
     }
-    edges = sorted(marks)
-    return n, [x for x, _ in edges], [y for _, y in edges], meta
+    u, v = np.nonzero(mat)
+    return n, u.tolist(), v.tolist(), meta

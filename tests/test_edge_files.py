@@ -117,6 +117,15 @@ def test_load_infers_n_from_the_largest_id(tmp_path):
     assert g.n == 42 and g.u.tolist() == [0, 1] and g.v.tolist() == [41, 3]
 
 
+def test_load_rejects_n_past_the_int64_edge_keys(tmp_path):
+    # n = 2^32 + 1: the key lo * n + hi of this edge would wrap to (0, 2^32 - 1)
+    path = tmp_path / "e"
+    path.write_text("4294967295 4294967296\n")
+    with pytest.raises(ValueError, match=r"^n = 4294967297 exceeds 3037000499, "):
+        load_edge_list(path)
+    assert WeightedGraph.from_pairs(graph_core.MAX_N, [0], [1]).edge_count == 1
+
+
 # -- save_graph -> load_graph --------------------------------------------------
 
 def assert_roundtrip_identical(g):

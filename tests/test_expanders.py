@@ -8,7 +8,7 @@ import pytest
 from relspan import expanders
 from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plan,
                                bipartite_sample_plans, blocks_into_sink,
-                               bipartite_into_sink, build_bipartite_expander,
+                               build_bipartite_expander,
                                build_reliable_connectivity, build_strong_expander,
                                build_verified_bipartite,
                                reliable_connectivity_params,
@@ -16,10 +16,11 @@ from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plan,
                                verify_expansion_sampled, verify_strong_expansion)
 from relspan.graph_core import EdgeSink, WeightedGraph, shortest_path_length
 from relspan.shadow import as_fraction
+from relspan.spanner1d import build_G_theta
 from relspan.streams import substream
 
 from helpers import degrees, edge_set
-from oracles import sample_plan_py
+from oracles import expander_block_oracle, sample_plan_py
 
 
 @dataclass
@@ -105,8 +106,10 @@ def test_saturation_is_not_monotone_in_block_size():
 @pytest.mark.parametrize("batch", [1 << 20, 7])
 def test_blocks_into_sink_matches_one_call_per_block(monkeypatch, batch):
     # runs of a permuted id list, blocks of mixed sizes, some sampled at c = 2;
-    # a batch of 7 pairs splits most saturated blocks into batches of their own
+    # a batch of 7 pairs splits most blocks into batches of their own, and
+    # the saturated blocks of 16 pairs or more are marked one at a time
     monkeypatch.setattr(expanders, "_BLOCK_BATCH", batch)
+    monkeypatch.setattr(expanders, "_BIG_BLOCK", 16)
     rng = substream(5, "runs")
     sizes = rng.integers(1, 12, size=14)
     ptr = np.concatenate([[0], np.cumsum(sizes)])
@@ -115,17 +118,31 @@ def test_blocks_into_sink_matches_one_call_per_block(monkeypatch, batch):
     right = rng.integers(0, 14, size=40)
     n = int(ptr[-1])
     for c in (None, 2):
-        batched, single = EdgeSink(n), EdgeSink(n)
+        batched = EdgeSink(n)
         labels = lambda i: ("blk", i)
-        total = blocks_into_sink(batched, ptr, ids, left, right, Fraction(1, 4), 9, labels, c)
-        want = 0
+        total = blocks_into_sink(batched, ids, ptr[left], sizes[left], ptr[right], sizes[right],
+                                 Fraction(1, 4), 9, labels, c)
+        single, want = np.zeros((n, n), dtype=bool), 0
         for i in range(left.size):
-            plan = bipartite_into_sink(single, ids[ptr[left[i]]:ptr[left[i] + 1]],
-                                       ids[ptr[right[i]]:ptr[right[i] + 1]], Fraction(1, 4),
-                                       9, labels(i), c)
+            plan = expander_block_oracle(single, ids[ptr[left[i]]:ptr[left[i] + 1]].tolist(),
+                                         ids[ptr[right[i]]:ptr[right[i] + 1]].tolist(),
+                                         Fraction(1, 4), 9, labels(i), c)
             want += plan["budget"]
         assert total == want
-        assert np.array_equal(batched.mat, single.mat)
+        assert np.array_equal(batched.mat, single)
+
+
+def test_draw_limit_fails_before_any_draw(monkeypatch):
+    # a layered build whose early blocks draw within the limit and whose
+    # later ones exceed it: the limit is checked over every sampled block
+    # before the first draw, so a refused build re-keys no stream
+    rekeyed = []
+    monkeypatch.setattr(expanders, "_MAX_DRAWS", 100)
+    monkeypatch.setattr(expanders, "rekey", lambda *args: rekeyed.append(args))
+    with pytest.raises(ValueError, match=r"^sampling budget 128 exceeds the draw limit; "):
+        build_G_theta(256, Fraction(1, 2), c=8, seed=1, mode="experimental",
+                      degree_constant_override=1)
+    assert rekeyed == []
 
 
 def test_half_expansion_exhaustive():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relspan.graph_core import monotone_reach_1d
 from relspan.shadow import shadow_1d
@@ -13,7 +14,8 @@ from relspan.spanner1d import (build_G_theta, build_H, canonical_walk,
                                shifted_interval_params)
 from relspan.streams import substream
 
-from helpers import edge_set, h_level_budget
+from helpers import edge_set, graph_sha256, h_level_budget
+from oracles import build_G_theta_oracle, build_H_oracle
 
 
 def test_pow2():
@@ -244,6 +246,52 @@ def test_g_theta_reliability_and_hops_smoke():
         ok, failures, max_hops = one_path_coverage(g, bad, good, hop_cap)
         assert ok, failures[:5]
         assert max_hops <= hop_cap
+
+
+# ---------------------------------------------------------------------------
+# block emission against the one-block-at-a-time oracles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150)
+@given(n=st.integers(2, 300),
+       theta=st.sampled_from([Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)]),
+       mode_c=st.sampled_from([("faithful", 512), ("experimental", 1), ("experimental", 2),
+                               ("experimental", 8)]),
+       override=st.sampled_from([None, 1, 2]), seed=st.integers(0, 3))
+def test_g_theta_matches_per_block_oracle(n, theta, mode_c, override, seed):
+    mode, c = mode_c
+    g = build_G_theta(n, theta, c=c, seed=seed, mode=mode, degree_constant_override=override)
+    u, v, meta = build_G_theta_oracle(n, theta, c, seed, mode, override)
+    assert g.u.tolist() == u and g.v.tolist() == v
+    assert g.meta == dict(meta, line=True)
+
+
+@settings(max_examples=80)
+@given(n=st.integers(2, 300),
+       xi=st.sampled_from([Fraction(1, 16), Fraction(1, 4), Fraction(1, 2)]),
+       override=st.sampled_from([None, 1, 2]), seed=st.integers(0, 3))
+def test_h_matches_per_block_oracle(n, xi, override, seed):
+    g = build_H(n, xi=xi, seed=seed, degree_constant_override=override)
+    u, v, meta = build_H_oracle(n, xi, seed, override)
+    assert g.u.tolist() == u and g.v.tolist() == v
+    assert g.meta == dict(meta, line=True)
+
+
+# sha256 of (edges, meta) pinned from the per-block emission: the `line`
+# benchmark build and a block tree sampled above its 4 x 4 blocks
+@pytest.mark.parametrize("build,edges,edges_sha,meta_sha", [
+    (lambda: build_G_theta(1024, Fraction(1, 2), c=8, seed=1, mode="experimental",
+                           degree_constant_override=1), 296876,
+     "0c2cab27a3361c56bb3c8b5e9eae9ad01a81e75e286c8ff1e37d209258c4227b",
+     "4378dd1218a0616cd66cfb87a6e45c836b23f78e9cb002b2d7a54a074e716d16"),
+    (lambda: build_H(512, seed=1, degree_constant_override=2), 18346,
+     "07dfe53c387327de02820216c99ee83258750c34496f43ab0f6cdd24667996fd",
+     "e7a2deb8eada3da68b2697eb2deb52359a12d2a3ec3ad982441bc4220507a7ae"),
+], ids=["line", "h-sampled"])
+def test_1d_golden_hashes(build, edges, edges_sha, meta_sha):
+    g = build()
+    assert g.u.size == edges
+    assert graph_sha256(g) == (edges_sha, meta_sha)
 
 
 # ---------------------------------------------------------------------------

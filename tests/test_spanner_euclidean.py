@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 from fractions import Fraction
 
@@ -15,7 +14,7 @@ from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner
                                        hd_rank_permutations, union_over_orderings)
 from relspan.streams import substream
 
-from helpers import edge_set
+from helpers import edge_set, graph_sha256
 from oracles import bounded_spread_oracle, dijkstra_py
 
 
@@ -136,13 +135,6 @@ def _pin_points(shape):
     return cells + rng.uniform(-0.3, 0.3, size=cells.shape)
 
 
-def _sha(g):
-    h = hashlib.sha256(np.int64(g.n).astype("<i8").tobytes())
-    for arr, dtype in ((g.u, "<i8"), (g.v, "<i8"), (g.w, "<f8")):
-        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-    return h.hexdigest(), hashlib.sha256(json.dumps(g.meta, sort_keys=True).encode()).hexdigest()
-
-
 # (grid shape, epsilon, degree_constant_override): saturated, then sampled
 # regimes; with c = 10, a 16 x 33 block is saturated but 16 x 32 is sampled
 REGIMES = [((64,), 0.5, None), ((6, 8), 0.5, None), ((4, 4, 3), 0.5, None),
@@ -184,7 +176,7 @@ def test_bounded_spread_golden_hashes(regime, edges, edges_sha, meta_sha):
     g = build_bounded_spread_spanner(_pin_points(shape), eps, Fraction(1, 4), seed=11,
                                      degree_constant_override=c)
     assert g.u.size == edges
-    assert _sha(g) == (edges_sha, meta_sha)
+    assert graph_sha256(g) == (edges_sha, meta_sha)
 
 
 def test_saturated_sibling_block_is_emitted():

@@ -2,7 +2,10 @@ import os
 import subprocess
 import sys
 
-from relspan.streams import subseed, substream
+import numpy as np
+import pytest
+
+from relspan.streams import rekey, subseed, substream
 
 
 def test_substream_reproducible():
@@ -43,3 +46,31 @@ def test_streams_ignore_hash_randomization():
         streams.add(stream)
     assert len(hashes) == 2, "hash randomization was not in effect"
     assert len(streams) == 1
+
+
+def test_rekey_after_odd_32_bit_draws():
+    # three bounded draws below 2^32 leave half of a 64-bit word buffered
+    gen = substream(1, "previous")
+    gen.integers(0, 10, size=3)
+    assert gen.bit_generator.state["has_uint32"] == 1
+    got = rekey(gen, 7, "x", 1).integers(0, 1000, size=17)
+    assert np.array_equal(got, substream(7, "x", 1).integers(0, 1000, size=17))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 1 << 31, (1 << 32) - 1, 1 << 40])
+def test_rekey_matches_substream_for_every_bound(bound):
+    gen = substream(2, "previous")
+    gen.integers(0, 3, size=5)
+    gen.integers(0, 1 << 40, size=3)
+    for labels in (("gt", 5, 3, 17, "L"), ("gt", 5, 3, 17, "R"), ("h", 0, 0, "L")):
+        got = rekey(gen, 11, *labels).integers(0, bound, size=9)
+        assert np.array_equal(got, substream(11, *labels).integers(0, bound, size=9))
+
+
+def test_rekey_after_random_draws():
+    gen = substream(3, "previous")
+    gen.random(5)
+    rekey(gen, 4, "y")
+    want = substream(4, "y")
+    assert np.array_equal(gen.random(3), want.random(3))
+    assert np.array_equal(gen.integers(0, 77, size=5), want.integers(0, 77, size=5))
