@@ -14,12 +14,12 @@ from .expanders import (build_bipartite_expander, build_reliable_connectivity,
                         verify_expansion_bruteforce, verify_strong_expansion)
 from .shadow import (ShadowResult, check_shadow_bounds, cone_mark_unsafe,
                      shadow_1d, shadow_balls_oracle, shadow_quadtree)
-from .spanner1d import (CanonicalWalk, build_G_theta, build_H, canonical_walk,
-                        find_exact_path)
+from .spanner1d import build_G_theta, build_H, find_exact_path
 from .quadtree import Quadtree, WspdPairs, build_quadtree, build_wspd
 from .lso import OrderingFamily, build_ordering_family, check_lso_property
 from .spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
-from .harness import AttackSpec, ReliabilityReport, certify, generate_attack, loss_curve
+from .harness import (AttackSpec, Certifier, ReliabilityReport, certify, generate_attack,
+                      loss_curve)
 
 __all__ = [
     "PointSet", "WeightedGraph", "load_edge_list", "load_points",
@@ -29,10 +29,10 @@ __all__ = [
     "verify_expansion_bruteforce", "verify_strong_expansion",
     "ShadowResult", "check_shadow_bounds", "cone_mark_unsafe",
     "shadow_1d", "shadow_balls_oracle", "shadow_quadtree",
-    "CanonicalWalk", "build_G_theta", "build_H", "canonical_walk",
-    "find_exact_path",
+    "build_G_theta", "build_H", "find_exact_path",
     "Quadtree", "WspdPairs", "build_quadtree", "build_wspd",
     "OrderingFamily", "build_ordering_family", "check_lso_property",
     "build_bounded_spread_spanner", "build_hd_spanner",
-    "AttackSpec", "ReliabilityReport", "certify", "generate_attack", "loss_curve",
+    "AttackSpec", "Certifier", "ReliabilityReport", "certify", "generate_attack",
+    "loss_curve",
 ]

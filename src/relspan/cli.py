@@ -23,9 +23,9 @@ from .expanders import (build_bipartite_expander, build_reliable_connectivity,
                         build_strong_expander, build_verified_bipartite,
                         verify_connectivity_sampled, verify_expansion_sampled,
                         verify_strong_expansion, verify_strong_sampled)
-from .graph_core import PointSet, WeightedGraph, load_edge_list, load_points
+from .graph_core import WeightedGraph, load_edge_list, load_points
 from .harness import AttackSpec, certify, generate_attack, loss_curve, write_loss_csv
-from .lso import build_ordering_family, check_lso_property, family_shape
+from .lso import build_ordering_family, check_lso_property
 from .quadtree import build_quadtree, normalize_unit
 from .shadow import (as_fraction, check_shadow_bounds, cone_mark_unsafe,
                      shadow_1d, shadow_balls_oracle, shadow_quadtree)

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import EdgeSink, WeightedGraph
+from .graph_core import EdgeSink, WeightedGraph, largest_component
 from .shadow import _INT64_SAFE, as_fraction
 from .streams import rekey, subseed, substream
 
@@ -380,23 +380,13 @@ def verify_connectivity_sampled(g: WeightedGraph, theta, samples: int,
                                 seed: int = 0, k: int | None = None) -> VerifyResult:
     """Random deletion trials: the largest surviving component must miss at
     most (1+theta)|B| vertices."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
     theta = as_fraction(theta)
     n = g.n
     k = k if k is not None else max(1, n // 10)
     rng = substream(seed, "verify", "reliable-sampled")
     for checked in range(1, samples + 1):
         bad = rng.choice(n, size=k, replace=False)
-        alive = np.ones(n, dtype=bool)
-        alive[bad] = False
-        keep = alive[g.u] & alive[g.v]
-        adj = csr_matrix((np.ones(int(keep.sum())), (g.u[keep], g.v[keep])),
-                         shape=(n, n))
-        _, labels = connected_components(adj, directed=False)
-        labels[~alive] = -1
-        sizes = np.bincount(labels[labels >= 0]) if alive.any() else np.array([0])
-        largest = int(sizes.max()) if sizes.size else 0
+        largest = largest_component(g, bad).size
         if largest < n - (1 + theta) * k:
             return VerifyResult(False, "sampled", checked, None,
                                 sorted(int(v) for v in bad), largest)

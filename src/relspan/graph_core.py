@@ -13,7 +13,8 @@ An edge file holds one decimal "u v" line per canonical edge.  It stores no
 weights: loading recomputes them from the metric, as for any other edge list.
 
 The path oracles are Dijkstra over the alive subgraph (Euclidean stretch) and
-a batched monotone breadth-first search on the line (exact 1D paths).
+a batched monotone breadth-first search on the line (exact 1D paths); the
+connectivity oracle is the alive subgraph's largest component.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 from scipy.spatial import cKDTree
 
@@ -36,6 +38,14 @@ MAX_N = math.isqrt(2 ** 63 - 1)  # from_pairs keys an edge lo * n + hi < n^2 in 
 # ---------------------------------------------------------------------------
 # vertex sets
 # ---------------------------------------------------------------------------
+
+def pow2_at_least(x) -> int:
+    """Smallest power of two >= x (exact, works for Fractions)."""
+    t = 1
+    while t < x:
+        t <<= 1
+    return t
+
 
 def vertex_ids(ids, n: int) -> np.ndarray:
     """int64 array of vertex ids in the given order, validated against n."""
@@ -100,6 +110,11 @@ class PointSet:
     @property
     def spread(self) -> float:
         return self.diameter / self.closest_pair
+
+
+def as_coords(points) -> np.ndarray:
+    """The (n, d) float64 coordinates of a PointSet or of an array-like."""
+    return points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
 
 
 def load_points(path) -> PointSet:
@@ -325,6 +340,17 @@ def _alive_csr(g: WeightedGraph, dead: np.ndarray) -> csr_matrix:
     col = np.concatenate([g.v[keep], g.u[keep]])
     dat = np.concatenate([g.w[keep], g.w[keep]])
     return csr_matrix((dat, (row, col)), shape=(g.n, g.n))
+
+
+def largest_component(g: WeightedGraph, dead: np.ndarray) -> np.ndarray:
+    """Ascending ids of the largest connected component of g - dead (the
+    lowest-labelled one on ties); empty when every vertex failed."""
+    _, labels = connected_components(_alive_csr(g, dead), directed=False)
+    labels[dead] = -1
+    alive = labels >= 0
+    if not alive.any():
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(labels == np.argmax(np.bincount(labels[alive])))
 
 
 def shortest_path_length(g: WeightedGraph, B, source: int) -> np.ndarray:

@@ -1,11 +1,18 @@
 """Attack generation and end-to-end certification of built spanners.
 
-certify() recomputes each construction's canonical harmed superset (the
-shadow its reliability argument prescribes), checks its size bound, then
-audits the spanner property over all surviving pairs outside it: monotone
-1-path coverage on the line, Dijkstra stretch in Euclidean graphs.  The
-minimal harmed set is NP-hard flavored, so a greedy vertex-cover estimate of
-the observed loss is reported alongside the constructive certificate.
+A Certifier is the certification context of one graph.  The construction
+fixes the rule for the harmed superset B+ (the 1D alpha-shadow, the
+gamma-quadtree shadow, the ordering-union rank shadow, or all vertices
+outside the largest surviving component); only B changes from call to call.
+So the context dispatches on the kind once, to that rule, the greedy-shadow
+objective and the pair audit (monotone 1-path coverage on the line,
+Dijkstra stretch in Euclidean graphs), and builds what depends only on the
+graph (normalized positions, quadtree, hd_config, rank permutations) on
+first use, so a call that needs none of it builds none of it.  certify()
+and generate_attack() wrap a fresh context; loss_curve() uses one for all
+its trials.  The minimal harmed set is NP-hard flavored, so a greedy
+vertex-cover estimate of the observed loss is reported alongside the
+constructive certificate.
 """
 
 from __future__ import annotations
@@ -13,25 +20,25 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
-from .graph_core import (WeightedGraph, clean_vertex_set, shortest_path_matrix)
-from .quadtree import build_quadtree, normalize_unit
+from .graph_core import (WeightedGraph, clean_vertex_set, largest_component,
+                         shortest_path_matrix)
+from .lso import build_ordering_family, sort_by_ordering
+from .quadtree import Quadtree, build_quadtree, normalize_unit
 from .shadow import (as_fraction, shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
                      shadow_quadtree_candidate_sizes)
-from .spanner1d import coverage_totals, one_path_coverage
-from .spanner_euclidean import hd_config, hd_rank_permutations
+from .spanner1d import one_path_coverage
+from .spanner_euclidean import hd_config
 from .streams import substream
 
 STRETCH_SLACK = 1.0 + 1e-9  # a pair fails only beyond (1+eps)*dist*(1+1e-9)
 FAILING_KEPT = 64  # failing pairs kept for the sample and the greedy cover
+REPORTED_META = ("kind", "n", "xi", "theta", "epsilon", "mode", "regime", "variant", "M",
+                 "theta_prime", "seed", "cert_alpha", "gamma", "experimental")
 
-
-# ---------------------------------------------------------------------------
-# attacks
-# ---------------------------------------------------------------------------
 
 @dataclass
 class AttackSpec:
@@ -42,78 +49,6 @@ class AttackSpec:
     def as_dict(self) -> dict:
         return {"kind": self.kind, "k": self.k, "seed": self.seed}
 
-
-def _greedy_objective(g: WeightedGraph):
-    """The function B -> |shadow(B + {v})| for every vertex v that the
-    greedy-shadow attack maximizes."""
-    kind = g.meta.get("kind", "")
-    if g.meta.get("line"):
-        alpha = as_fraction(g.meta.get("cert_alpha") or Fraction(1, 2))
-
-        def sizes_1d(bad: np.ndarray) -> np.ndarray:
-            return shadow_1d_candidate_sizes(g.n, bad, alpha)
-        return sizes_1d
-    if g.positions is not None:
-        gamma = as_fraction(g.meta.get("gamma") or (1 - as_fraction(g.meta["theta"]) / 2))
-        normed, _, _ = normalize_unit(g.positions, margin=g.meta.get("norm_margin", 0.125))
-        tree = build_quadtree(normed, already_normalized=True)
-
-        def sizes_tree(bad: np.ndarray) -> np.ndarray:
-            return shadow_quadtree_candidate_sizes(tree, bad, gamma)
-        return sizes_tree
-    raise ValueError(f"no greedy-shadow objective for construction {kind!r}")
-
-
-def generate_attack(spec: AttackSpec, g: WeightedGraph) -> np.ndarray:
-    """Deterministic failure set of size k, 0 <= k <= n.
-
-    random: k distinct uniform ids; prefix: 0..k-1; interval: k consecutive
-    ids at a random start; ball: the k points nearest a random center.
-    greedy-shadow adds, k times, the vertex whose failure most enlarges a
-    shadow of B (lowest id on ties), and stops early once that shadow is
-    all n vertices.  The shadow is the certificate's own on line graphs
-    (the cert_alpha 1D shadow) and on bounded-spread graphs (the
-    gamma-quadtree shadow).  On ordering-union (hd) graphs it is only a
-    proxy: the quadtree shadow at gamma = 1 - theta/2, whereas certify uses
-    the ordering-union shadow.
-    """
-    n = g.n
-    if not 0 <= spec.k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {spec.k}")
-    if spec.kind == "random-k":  # accepted alias
-        spec = AttackSpec("random", spec.k, spec.seed)
-    rng = substream(spec.seed, "attack", spec.kind)
-    if spec.kind == "random":
-        return np.sort(rng.choice(n, size=spec.k, replace=False)).astype(np.int64)
-    if spec.kind == "prefix":
-        return np.arange(spec.k, dtype=np.int64)
-    if spec.kind == "interval":
-        start = int(rng.integers(0, n - spec.k + 1))
-        return np.arange(start, start + spec.k, dtype=np.int64)
-    if spec.kind == "ball":
-        if g.positions is None:
-            raise ValueError("ball attacks need point positions")
-        center = int(rng.integers(0, n))
-        d2 = ((g.positions - g.positions[center]) ** 2).sum(axis=1)
-        order = np.lexsort((np.arange(n), d2))
-        return np.sort(order[:spec.k]).astype(np.int64)
-    if spec.kind == "greedy-shadow":
-        sizes_after = _greedy_objective(g)
-        chosen: list[int] = []
-        for _ in range(spec.k):
-            sizes = sizes_after(np.asarray(chosen, dtype=np.int64))
-            sizes[chosen] = -1
-            best = int(np.argmax(sizes))  # the first maximum: lowest id
-            chosen.append(best)
-            if sizes[best] >= n:
-                break  # shadow saturated
-        return np.sort(np.asarray(chosen, dtype=np.int64))
-    raise ValueError(f"unknown attack kind {spec.kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# certification
-# ---------------------------------------------------------------------------
 
 @dataclass
 class ReliabilityReport:
@@ -160,237 +95,304 @@ def _greedy_cover(pairs: list[tuple[int, int]]) -> int:
     return cover
 
 
-def _bplus_1d(g: WeightedGraph, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    alpha = g.meta.get("cert_alpha")
-    if alpha is None:
-        raise ValueError("construction carries no shadow certificate (xi too large?)")
-    return shadow_1d(g.n, bad, as_fraction(alpha)).members, []
+# ---------------------------------------------------------------------------
+# the certification context
+# ---------------------------------------------------------------------------
+
+class Certifier:
+    """Certification context of one graph: see the module docstring."""
+
+    def __init__(self, g: WeightedGraph):
+        self.g = g
+        self.kind = g.meta.get("kind")
+        # the one dispatch on the construction kind: the rule for B+, the
+        # greedy-shadow objective, the pair audit, the bound factor on |B|
+        # and the meta keys the report repeats
+        factor, reported = g.meta.get("bplus_factor"), REPORTED_META
+        if self.kind in ("h1d", "g_theta"):
+            rules = self._line_shadow, self._line_scores, self._coverage_audit
+        elif self.kind == "bounded_spread":
+            rules = self._cell_shadow, self._cell_scores, self._stretch_audit
+        elif self.kind == "hd":
+            rules = self._rank_shadow, self._cell_scores, self._stretch_audit
+        elif self.kind == "reliable_connectivity":
+            rules = self._outside_giant, None, self._no_audit
+            factor, reported = 1 + as_fraction(g.meta["theta"]), ("kind", "n", "theta", "seed")
+        else:
+            rules = None, None, None
+        self._bplus, self._scores, self._audit = rules
+        self._factor, self._reported = factor, reported
+
+    # -- state that depends only on the graph, built on first use ------------
+
+    @cached_property
+    def normed(self) -> np.ndarray:
+        """The positions as the builder normalized them, into [m, 1 - m)^d
+        for the margin m it recorded."""
+        return normalize_unit(self.g.positions, margin=self.g.meta["norm_margin"])[0]
+
+    @cached_property
+    def tree(self) -> Quadtree:
+        return build_quadtree(self.normed, already_normalized=True)
+
+    @cached_property
+    def config(self) -> dict:
+        """hd_config of the build's parameters, so theta' comes from the
+        family's actual size."""
+        m = self.g.meta
+        return hd_config(m["n"], m["d"], m["epsilon"], as_fraction(m["theta"]),
+                         m["variant"], m["c2"])
+
+    @cached_property
+    def rank_permutations(self) -> list[np.ndarray]:
+        """Per ordering of the build's family, the point ids in rank order."""
+        family = build_ordering_family(self.g.meta["d"], self.g.meta["sigma"])
+        return [sort_by_ordering(o, self.normed) for o in family.orderings]
+
+    @cached_property
+    def _alpha(self) -> Fraction | None:
+        """The certified 1D shadow threshold; None when the build has none."""
+        alpha = self.g.meta.get("cert_alpha")
+        return None if alpha is None else as_fraction(alpha)
+
+    @cached_property
+    def _gamma(self) -> Fraction:
+        """The quadtree shadow threshold: the bounded-spread builder's, and
+        1 - theta/2 on ordering-union graphs, which record none."""
+        meta = self.g.meta
+        return as_fraction(meta.get("gamma") or 1 - as_fraction(meta["theta"]) / 2)
+
+    # -- the rules for B+ ------------------------------------------------------
+
+    def _line_shadow(self, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        if self._alpha is None:
+            raise ValueError("construction carries no shadow certificate (xi too large?)")
+        return shadow_1d(self.g.n, bad, self._alpha).members, []
+
+    def _cell_shadow(self, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        return shadow_quadtree(self.tree, bad, self._gamma).members, []
+
+    def _rank_shadow(self, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """Iterated union over the ordering family of rank-line shadows, with
+        theta' recomputed from the family's actual size."""
+        meta = self.g.meta
+        notes = []
+        theta_prime = self.config["theta_prime"]
+        if str(theta_prime) != meta["theta_prime"]:
+            notes.append(f"theta' mismatch: build {meta['theta_prime']}, "
+                         f"recomputed {theta_prime}")
+        alpha = 1 - theta_prime / 4
+        n = self.g.n
+        # when no interval holding a single survivor can reach the threshold,
+        # every per-ordering shadow is exactly B and the iteration is stationary
+        if n * (1 - alpha) < alpha:
+            notes.append("per-ordering shadows collapse to B at this scale")
+            return bad.copy(), notes
+        current = bad.copy()
+        for _ in range(self.config["rounds"]):
+            union = set(current.tolist())
+            for perm in self.rank_permutations:
+                rank_of = np.empty(n, dtype=np.int64)
+                rank_of[perm] = np.arange(n)
+                ranks_bad = np.sort(rank_of[current])
+                members = shadow_1d(n, ranks_bad, alpha).members
+                union.update(perm[members].tolist())
+            nxt = np.asarray(sorted(union), dtype=np.int64)
+            if nxt.size == current.size:
+                break
+            current = nxt
+        return current, notes
+
+    def _outside_giant(self, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
+        """The connectivity claim's B+: the failed vertices and every survivor
+        cut off from the largest surviving component."""
+        outside = np.ones(self.g.n, dtype=bool)
+        outside[largest_component(self.g, bad)] = False
+        return np.flatnonzero(outside), ["connectivity-only certification"]
+
+    # -- the greedy-shadow objectives: B -> |shadow(B + {v})| for every v --------
+
+    def _line_scores(self, bad: np.ndarray) -> np.ndarray:
+        if self._alpha is None:
+            raise ValueError(f"no greedy-shadow objective for construction {self.kind!r}: "
+                             "it carries no shadow certificate")
+        return shadow_1d_candidate_sizes(self.g.n, bad, self._alpha)
+
+    def _cell_scores(self, bad: np.ndarray) -> np.ndarray:
+        return shadow_quadtree_candidate_sizes(self.tree, bad, self._gamma)
+
+    # -- the pair audits: (first failing pairs, failing count, pairs checked,
+    #    sampling, max stretch, max hops) ---------------------------------------
+
+    def _coverage_audit(self, bad, good, pair_budget, seed) -> tuple:
+        """Monotone 1-path coverage of every good pair, in one walk."""
+        failures, failing, max_hops = one_path_coverage(
+            self.g, bad, good, self.g.meta.get("hop_cap"), FAILING_KEPT)
+        checked = good.size * (good.size - 1) // 2
+        return (failures, failing, checked, {"mode": "all", "pairs": checked},
+                1.0 if good.size > 1 else None, max_hops)
+
+    def _stretch_audit(self, bad, good, pair_budget, seed) -> tuple:
+        """Stretch audit over good pairs; all pairs when n is small, otherwise
+        a uniform sample of pair_budget pairs with the sampling seed recorded."""
+        g = self.g
+        if good.size < 2:
+            return [], 0, 0, {"mode": "all"}, None, None
+        total_pairs = good.size * (good.size - 1) // 2
+        limit = (1.0 + g.meta["epsilon"]) * STRETCH_SLACK
+        pos = g.positions
+        failures: list[tuple[int, int]] = []
+        max_stretch = 0.0
+        if g.n <= 2048 and total_pairs <= pair_budget:
+            sampling = {"mode": "all", "pairs": int(total_pairs)}
+            dist = shortest_path_matrix(g, bad, good)
+            euc = np.sqrt(((pos[good][:, None, :] - pos[good][None, :, :]) ** 2).sum(axis=2))
+            iu = np.triu_indices(good.size, k=1)
+            ratio = dist[:, good][iu] / euc[iu]
+            max_stretch = float(np.nanmax(ratio))
+            bad_idx = np.nonzero(ratio > limit)[0]
+            failures = [(int(good[iu[0][b]]), int(good[iu[1][b]]))
+                        for b in bad_idx[:FAILING_KEPT]]
+            failing = int(bad_idx.size)
+            checked = int(total_pairs)
+        else:
+            rng = substream(seed, "stretch-sample")
+            sampling = {"mode": "sampled", "pairs": int(pair_budget), "seed": seed}
+            srcs = rng.integers(0, good.size, size=pair_budget)
+            tgts = rng.integers(0, good.size, size=pair_budget)
+            keep = srcs != tgts
+            srcs, tgts = srcs[keep], tgts[keep]
+            uniq = np.unique(srcs)
+            checked = int(srcs.size)
+            failing = 0
+            for chunk_start in range(0, uniq.size, 256):
+                chunk = uniq[chunk_start:chunk_start + 256]
+                dist = shortest_path_matrix(g, bad, good[chunk])
+                row_of = {int(s): i for i, s in enumerate(chunk)}
+                sel = np.isin(srcs, chunk)
+                for s_idx, t_idx in zip(srcs[sel], tgts[sel]):
+                    s, t = int(good[s_idx]), int(good[t_idx])
+                    de = float(np.linalg.norm(pos[s] - pos[t]))
+                    dg = float(dist[row_of[int(s_idx)], t])
+                    ratio = dg / de
+                    max_stretch = max(max_stretch, ratio)
+                    if ratio > limit:
+                        failing += 1
+                        if len(failures) < FAILING_KEPT:
+                            failures.append((s, t))
+        return failures, failing, checked, sampling, max_stretch, None
+
+    def _no_audit(self, bad, good, pair_budget, seed) -> tuple:
+        return [], 0, 0, {"mode": "components"}, None, None
+
+    # -- what the context serves -----------------------------------------------
+
+    def attack(self, spec: AttackSpec) -> np.ndarray:
+        """Deterministic failure set of size k, 0 <= k <= n.
+
+        random: k distinct uniform ids; prefix: 0..k-1; interval: k
+        consecutive ids at a random start; ball: the k points nearest a
+        random center.  greedy-shadow adds, k times, the vertex whose failure
+        most enlarges a shadow of B (lowest id on ties), and stops early once
+        that shadow is all n vertices.  The shadow is the certificate's own on
+        line graphs (the cert_alpha 1D shadow) and on bounded-spread graphs
+        (the gamma-quadtree shadow).  On ordering-union (hd) graphs it is only
+        a proxy: the quadtree shadow at gamma = 1 - theta/2, whereas certify
+        uses the ordering-union shadow.
+        """
+        g = self.g
+        n = g.n
+        if not 0 <= spec.k <= n:
+            raise ValueError(f"k must be in [0, {n}], got {spec.k}")
+        if spec.kind == "random-k":  # accepted alias
+            spec = AttackSpec("random", spec.k, spec.seed)
+        rng = substream(spec.seed, "attack", spec.kind)
+        if spec.kind == "random":
+            return np.sort(rng.choice(n, size=spec.k, replace=False)).astype(np.int64)
+        if spec.kind == "prefix":
+            return np.arange(spec.k, dtype=np.int64)
+        if spec.kind == "interval":
+            start = int(rng.integers(0, n - spec.k + 1))
+            return np.arange(start, start + spec.k, dtype=np.int64)
+        if spec.kind == "ball":
+            if g.positions is None:
+                raise ValueError("ball attacks need point positions")
+            center = int(rng.integers(0, n))
+            d2 = ((g.positions - g.positions[center]) ** 2).sum(axis=1)
+            order = np.lexsort((np.arange(n), d2))
+            return np.sort(order[:spec.k]).astype(np.int64)
+        if spec.kind == "greedy-shadow":
+            if self._scores is None:
+                raise ValueError(f"no greedy-shadow objective for construction {self.kind!r}")
+            chosen: list[int] = []
+            for _ in range(spec.k):
+                sizes = self._scores(np.asarray(chosen, dtype=np.int64))
+                sizes[chosen] = -1
+                best = int(np.argmax(sizes))  # the first maximum: lowest id
+                chosen.append(best)
+                if sizes[best] >= n:
+                    break  # shadow saturated
+            return np.sort(np.asarray(chosen, dtype=np.int64))
+        raise ValueError(f"unknown attack kind {spec.kind!r}")
+
+    def certify(self, B, pair_budget: int = 10 ** 6, seed: int = 0,
+                attack: AttackSpec | None = None) -> ReliabilityReport:
+        """Certify the graph against its construction's reliability claim
+        under the failure set B: compute B+, check |B+| against the bound,
+        then audit the surviving pairs outside B+."""
+        t0 = time.perf_counter()
+        g = self.g
+        bad = clean_vertex_set(B, g.n)
+        if self._bplus is None:
+            raise ValueError(f"unknown construction meta kind {self.kind!r}")
+        k = int(bad.size)
+        bplus, notes = self._bplus(bad)
+        bound = as_fraction(self._factor) * k
+        bound_ok = bplus.size <= bound if k else bplus.size == 0
+        good = np.ones(g.n, dtype=bool)
+        good[bad] = False
+        good[bplus] = False
+        good = np.flatnonzero(good)
+        failures, failing, checked, sampling, max_stretch, max_hops = self._audit(
+            bad, good, pair_budget, seed)
+        loss_cert = int(bplus.size - np.intersect1d(bplus, bad).size)
+        loss_greedy = _greedy_cover(failures) if failures else 0
+        if failing > len(failures):
+            notes.append(f"loss_greedy covers the first {len(failures)} of {failing} failing pairs")
+        return ReliabilityReport(
+            report_version=1,
+            construction={key: g.meta[key] for key in g.meta if key in self._reported},
+            attack=attack.as_dict() if attack else None,
+            n=g.n, k=k,
+            bplus_size=int(bplus.size),
+            bound=float(bound),
+            bound_ok=bool(bound_ok),
+            failing_outside=failing,
+            failing_sample=failures[:16],
+            passed=bool(bound_ok and not failing),
+            loss_certificate=loss_cert,
+            loss_greedy=loss_greedy,
+            greedy_le_certificate=loss_greedy <= loss_cert,
+            pairs_checked=checked,
+            pair_sampling=sampling,
+            max_stretch=max_stretch,
+            max_hops=max_hops,
+            regime=g.meta.get("regime"),
+            notes=notes,
+            runtime_s=time.perf_counter() - t0,
+        )
 
 
-def _bplus_quadtree(g: WeightedGraph, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    normed, _, _ = normalize_unit(g.positions, margin=g.meta["norm_margin"])
-    tree = build_quadtree(normed, already_normalized=True)
-    return shadow_quadtree(tree, bad, as_fraction(g.meta["gamma"])).members, []
-
-
-def _bplus_hd(g: WeightedGraph, bad: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """Iterated union over the ordering family of rank-line shadows, with
-    theta' recomputed from the family's actual size."""
-    meta = g.meta
-    cfg = hd_config(meta["n"], meta["d"], meta["epsilon"], as_fraction(meta["theta"]),
-                    meta["variant"], meta["c2"])
-    notes = []
-    theta_prime = cfg["theta_prime"]
-    if str(theta_prime) != meta["theta_prime"]:
-        notes.append(f"theta' mismatch: build {meta['theta_prime']}, "
-                     f"recomputed {theta_prime}")
-    alpha = 1 - theta_prime / 4
-    n = g.n
-    # when no interval holding a single survivor can reach the threshold,
-    # every per-ordering shadow is exactly B and the iteration is stationary
-    if n * (1 - alpha) < alpha:
-        notes.append("per-ordering shadows collapse to B at this scale")
-        return bad.copy(), notes
-    family, perms = hd_rank_permutations(g)
-    current = bad.copy()
-    for _ in range(cfg["rounds"]):
-        union = set(current.tolist())
-        for perm in perms:
-            rank_of = np.empty(n, dtype=np.int64)
-            rank_of[perm] = np.arange(n)
-            ranks_bad = np.sort(rank_of[current])
-            members = shadow_1d(n, ranks_bad, alpha).members
-            union.update(perm[members].tolist())
-        nxt = np.asarray(sorted(union), dtype=np.int64)
-        if nxt.size == current.size:
-            break
-        current = nxt
-    return current, notes
-
-
-def _audit_1d(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
-              hop_cap) -> tuple[list, int, int, int | None, float | None]:
-    _, failures, max_hops = one_path_coverage(g, bad, good, hop_cap, FAILING_KEPT)
-    failing = len(failures)
-    if failing == FAILING_KEPT:  # the coverage check stopped early: count them all
-        failing, max_hops = coverage_totals(g, bad, good, hop_cap)
-    checked = good.size * (good.size - 1) // 2
-    return failures, failing, checked, max_hops, 1.0 if good.size > 1 else None
-
-
-def _audit_stretch(g: WeightedGraph, bad: np.ndarray, good: np.ndarray,
-                   epsilon: float, pair_budget: int, seed: int
-                   ) -> tuple[list, int, int, dict, float | None]:
-    """Stretch audit over good pairs; all pairs when n is small, otherwise a
-    uniform sample of pair_budget pairs with the sampling seed recorded.
-    Returns (first failing pairs, failing count, checked, sampling, max stretch)."""
-    if good.size < 2:
-        return [], 0, 0, {"mode": "all"}, None
-    total_pairs = good.size * (good.size - 1) // 2
-    limit = (1.0 + epsilon) * STRETCH_SLACK
-    pos = g.positions
-    failures: list[tuple[int, int]] = []
-    max_stretch = 0.0
-    if g.n <= 2048 and total_pairs <= pair_budget:
-        sampling = {"mode": "all", "pairs": int(total_pairs)}
-        dist = shortest_path_matrix(g, bad, good)
-        euc = np.sqrt(((pos[good][:, None, :] - pos[good][None, :, :]) ** 2).sum(axis=2))
-        iu = np.triu_indices(good.size, k=1)
-        ratio = dist[:, good][iu] / euc[iu]
-        max_stretch = float(np.nanmax(ratio))
-        bad_idx = np.nonzero(ratio > limit)[0]
-        failures = [(int(good[iu[0][b]]), int(good[iu[1][b]])) for b in bad_idx[:FAILING_KEPT]]
-        failing = int(bad_idx.size)
-        checked = int(total_pairs)
-    else:
-        rng = substream(seed, "stretch-sample")
-        sampling = {"mode": "sampled", "pairs": int(pair_budget), "seed": seed}
-        srcs = rng.integers(0, good.size, size=pair_budget)
-        tgts = rng.integers(0, good.size, size=pair_budget)
-        keep = srcs != tgts
-        srcs, tgts = srcs[keep], tgts[keep]
-        uniq = np.unique(srcs)
-        checked = int(srcs.size)
-        failing = 0
-        for chunk_start in range(0, uniq.size, 256):
-            chunk = uniq[chunk_start:chunk_start + 256]
-            dist = shortest_path_matrix(g, bad, good[chunk])
-            row_of = {int(s): i for i, s in enumerate(chunk)}
-            sel = np.isin(srcs, chunk)
-            for s_idx, t_idx in zip(srcs[sel], tgts[sel]):
-                s, t = int(good[s_idx]), int(good[t_idx])
-                de = float(np.linalg.norm(pos[s] - pos[t]))
-                dg = float(dist[row_of[int(s_idx)], t])
-                ratio = dg / de
-                max_stretch = max(max_stretch, ratio)
-                if ratio > limit:
-                    failing += 1
-                    if len(failures) < FAILING_KEPT:
-                        failures.append((s, t))
-    return failures, failing, checked, sampling, max_stretch
+def generate_attack(spec: AttackSpec, g: WeightedGraph) -> np.ndarray:
+    """Deterministic failure set of size k, 0 <= k <= n: Certifier.attack."""
+    return Certifier(g).attack(spec)
 
 
 def certify(g: WeightedGraph, B, pair_budget: int = 10 ** 6, seed: int = 0,
             attack: AttackSpec | None = None) -> ReliabilityReport:
-    """Certify a built graph against its construction's reliability claim."""
-    t0 = time.perf_counter()
-    kind = g.meta.get("kind")
-    bad = clean_vertex_set(B, g.n)
-    k = int(bad.size)
-    notes: list[str] = []
-
-    if kind == "reliable_connectivity":
-        return _certify_connectivity(g, bad, attack, t0)
-
-    if kind in ("h1d", "g_theta"):
-        bplus, extra = _bplus_1d(g, bad)
-    elif kind == "bounded_spread":
-        bplus, extra = _bplus_quadtree(g, bad)
-    elif kind == "hd":
-        bplus, extra = _bplus_hd(g, bad)
-    else:
-        raise ValueError(f"unknown construction meta kind {kind!r}")
-    notes.extend(extra)
-
-    factor = g.meta.get("bplus_factor")
-    if isinstance(factor, str):
-        bound = as_fraction(factor) * k
-        bound_ok = Fraction(int(bplus.size)) <= bound
-        bound_val = float(bound)
-    else:
-        bound_val = float(factor) * k
-        bound_ok = bplus.size <= bound_val
-    if k == 0:
-        bound_ok = bplus.size == 0
-
-    alive_mask = np.ones(g.n, dtype=bool)
-    alive_mask[bad] = False
-    harmed_mask = np.zeros(g.n, dtype=bool)
-    harmed_mask[bplus] = True
-    good = np.nonzero(alive_mask & ~harmed_mask)[0].astype(np.int64)
-
-    max_hops = None
-    max_stretch = None
-    if kind in ("h1d", "g_theta"):
-        hop_cap = g.meta.get("hop_cap") if kind == "g_theta" else None
-        failures, failing, checked, max_hops, max_stretch = _audit_1d(g, bad, good, hop_cap)
-        sampling = {"mode": "all", "pairs": checked}
-    else:
-        failures, failing, checked, sampling, max_stretch = _audit_stretch(
-            g, bad, good, g.meta["epsilon"], pair_budget, seed)
-
-    loss_cert = int(bplus.size - np.intersect1d(bplus, bad).size)
-    loss_greedy = _greedy_cover(failures) if failures else 0
-    if failing > len(failures):
-        notes.append(f"loss_greedy covers the first {len(failures)} of {failing} failing pairs")
-    report = ReliabilityReport(
-        report_version=1,
-        construction={key: g.meta[key] for key in g.meta
-                      if key in ("kind", "n", "xi", "theta", "epsilon", "mode",
-                                 "regime", "variant", "M", "theta_prime", "seed",
-                                 "cert_alpha", "gamma", "experimental")},
-        attack=attack.as_dict() if attack else None,
-        n=g.n, k=k,
-        bplus_size=int(bplus.size),
-        bound=bound_val,
-        bound_ok=bool(bound_ok),
-        failing_outside=failing,
-        failing_sample=failures[:16],
-        passed=bool(bound_ok and not failing),
-        loss_certificate=loss_cert,
-        loss_greedy=loss_greedy,
-        greedy_le_certificate=loss_greedy <= loss_cert,
-        pairs_checked=checked,
-        pair_sampling=sampling,
-        max_stretch=max_stretch,
-        max_hops=max_hops,
-        regime=g.meta.get("regime"),
-        notes=notes,
-        runtime_s=time.perf_counter() - t0,
-    )
-    return report
-
-
-def _certify_connectivity(g: WeightedGraph, bad: np.ndarray,
-                          attack: AttackSpec | None, t0: float) -> ReliabilityReport:
-    """Connectivity-only claim: the largest surviving component misses at
-    most (1+theta)|B| vertices."""
-    theta = as_fraction(g.meta["theta"])
-    k = int(bad.size)
-    alive = np.ones(g.n, dtype=bool)
-    alive[bad] = False
-    keep = alive[g.u] & alive[g.v]
-    from scipy.sparse import csr_matrix
-    adj = csr_matrix((np.ones(int(keep.sum())), (g.u[keep], g.v[keep])),
-                     shape=(g.n, g.n))
-    ncomp, labels = connected_components(adj, directed=False)
-    labels = labels.copy()
-    labels[~alive] = -1
-    sizes = np.bincount(labels[labels >= 0], minlength=ncomp) if g.n - k else np.array([0])
-    largest = int(sizes.max()) if sizes.size else 0
-    bplus = g.n - largest  # failed plus disconnected-from-the-giant
-    bound = float((1 + theta) * k)
-    ok = bplus <= bound if k else bplus == 0
-    return ReliabilityReport(
-        report_version=1,
-        construction={"kind": g.meta["kind"], "theta": g.meta["theta"],
-                      "n": g.n, "seed": g.meta.get("seed")},
-        attack=attack.as_dict() if attack else None,
-        n=g.n, k=k,
-        bplus_size=int(bplus),
-        bound=bound,
-        bound_ok=bool(ok),
-        failing_outside=0,
-        failing_sample=[],
-        passed=bool(ok),
-        loss_certificate=int(bplus - k),
-        loss_greedy=0,
-        greedy_le_certificate=True,
-        pairs_checked=0,
-        pair_sampling={"mode": "components"},
-        notes=["connectivity-only certification"],
-        runtime_s=time.perf_counter() - t0,
-    )
+    """Certify a built graph against its construction's reliability claim:
+    Certifier.certify."""
+    return Certifier(g).certify(B, pair_budget, seed, attack)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +401,15 @@ def _certify_connectivity(g: WeightedGraph, bad: np.ndarray,
 
 def loss_curve(g: WeightedGraph, attack_kind: str, k_list, trials: int,
                seed: int = 0, pair_budget: int = 10 ** 6) -> list[dict]:
-    """Per-trial certification rows plus per-k aggregates."""
+    """Per-trial certification rows plus per-k aggregates, all from one
+    certification context."""
+    ctx = Certifier(g)
     rows = []
     for k in k_list:
         for trial in range(trials):
             spec = AttackSpec(attack_kind, k, seed=seed * 1_000_003 + k * 1009 + trial)
-            bad = generate_attack(spec, g)
-            rep = certify(g, bad, pair_budget=pair_budget, seed=spec.seed, attack=spec)
+            bad = ctx.attack(spec)
+            rep = ctx.certify(bad, pair_budget=pair_budget, seed=spec.seed, attack=spec)
             rows.append({
                 "k": k, "trial": trial, "kind": attack_kind,
                 "bad": int(bad.size),

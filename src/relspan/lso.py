@@ -39,6 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .graph_core import pow2_at_least
 from .streams import substream
 
 W_BITS = 32  # fixed-point quantization per axis; caps usable spread at 2^32
@@ -172,13 +173,6 @@ def _step_v(delta: tuple[int, ...], t: int) -> tuple[int, ...]:
 # family construction
 # ---------------------------------------------------------------------------
 
-def _pow2_at_least(x: float) -> int:
-    t = 1
-    while t < x:
-        t <<= 1
-    return t
-
-
 def family_shape(d: int, sigma) -> dict:
     """All structural parameters of the family for (d, sigma)."""
     if isinstance(d, bool) or not isinstance(d, numbers.Integral):
@@ -202,7 +196,7 @@ def family_shape(d: int, sigma) -> dict:
                          f"sigma, {sigma_min:.6g} for d = {d}")
     t_min = max(1, math.ceil(math.log2(band_lo)))
     t_max = min(math.ceil(math.log2(band_lo / 0.01)), T_MAX)
-    lattice = min(_pow2_at_least(math.ceil(1.0 / sigma)), 4)
+    lattice = min(pow2_at_least(math.ceil(1.0 / sigma)), 4)
     reflections = min(max(math.ceil(math.log2(1.0 / sigma)), 1), 1 << d)
     return {
         "sigma": sigma,

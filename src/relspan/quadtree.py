@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import PointSet
+from .graph_core import as_coords
 
 MAX_DEPTH = 64
 
@@ -126,7 +126,7 @@ class Quadtree:
 def build_quadtree(points, already_normalized: bool = False) -> Quadtree:
     """Compressed quadtree; points are normalized into [0,1)^d unless the
     caller says they already are."""
-    coords = points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
+    coords = as_coords(points)
     n, d = coords.shape
     if not already_normalized:
         coords, _, _ = normalize_unit(coords)

@@ -16,73 +16,9 @@ from fractions import Fraction
 import numpy as np
 
 from .graph_core import (EdgeSink, WeightedGraph, clean_vertex_set, monotone_hops,
-                         vertex_ids)
+                         pow2_at_least, vertex_ids)
 from .expanders import blocks_into_sink
 from .shadow import as_fraction
-
-
-def pow2_at_least(x) -> int:
-    """Smallest power of two >= x (exact, works for Fractions)."""
-    if x <= 1:
-        return 1
-    t = 1
-    while t < x:
-        t <<= 1
-    return t
-
-
-# ---------------------------------------------------------------------------
-# block tree and the canonical walk
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CanonicalWalk:
-    """Ascending and descending block sequences between two leaves.
-
-    Blocks are inclusive id intervals (lo, hi).  Consecutive ascent blocks
-    are same-level neighbors or the parent of the previous one; the walk ends
-    with the two tops being same-level neighbors.
-    """
-
-    ascent: list[tuple[int, int]]
-    descent: list[tuple[int, int]]
-
-
-def _interval(level: int, idx: int) -> tuple[int, int]:
-    return (idx << level, ((idx + 1) << level) - 1)
-
-
-def canonical_walk(n: int, i: int, j: int) -> CanonicalWalk:
-    """Walk the block tree from leaf i up, across, and down to leaf j.
-
-    Rules, applied in order each iteration: stop when the active blocks are
-    neighbors; advance a right-child left block to its next neighbor; retreat
-    a left-child right block to its previous neighbor; otherwise ascend both.
-    """
-    if i >= j:
-        raise ValueError("require i < j")
-    n_padded = pow2_at_least(n)
-    if not (0 <= i and j < n_padded):
-        raise ValueError("leaves out of range")
-    lev = 0
-    bi, bj = i, j
-    ascent = [_interval(0, bi)]
-    descent = [_interval(0, bj)]
-    while bj != bi + 1:
-        if bi & 1:  # right child: step to the next block
-            bi += 1
-            ascent.append(_interval(lev, bi))
-        elif not (bj & 1):  # left child: step to the previous block
-            bj -= 1
-            descent.append(_interval(lev, bj))
-        else:  # ascend
-            lev += 1
-            bi >>= 1
-            bj >>= 1
-            ascent.append(_interval(lev, bi))
-            descent.append(_interval(lev, bj))
-    descent.reverse()
-    return CanonicalWalk(ascent, descent)
 
 
 # ---------------------------------------------------------------------------
@@ -276,49 +212,31 @@ def find_exact_path(g: WeightedGraph, B, s: int, t: int,
     return PathResult(True, path, len(path) - 1, length)
 
 
-def _coverage_blocks(g: WeightedGraph, B, good, hop_cap):
-    """Yield (sources, hops, miss) per block of the good sources s that have
-    a good t > s, in the order of `good`: hops[i] is the hop count at which
-    the reach of sources[i] last grew, and miss[i, t] marks a good
-    t > sources[i] with no monotone path from sources[i] within hop_cap."""
+def one_path_coverage(g: WeightedGraph, B, good: np.ndarray,
+                      hop_cap: int | None = None,
+                      max_failures: int = 64) -> tuple[list[tuple[int, int]], int, int]:
+    """Check in one walk that every good pair s < t is joined by a monotone
+    path in g - B within hop_cap hops.
+
+    Returns (the first max_failures failing pairs, the number of failing
+    pairs, max hops over all sources): sources are taken in the order of
+    `good`, each source's failing t ascending, and a source's hops are the
+    hop count at which its reach last grew.
+    """
     good = vertex_ids(good, g.n)
     sources = good[good < good.max()] if good.size else good
     ids = np.arange(g.n)
     is_good = np.isin(ids, good)
+    failures: list[tuple[int, int]] = []
+    failing = max_hops = 0
     for first, dist in monotone_hops(g, B, sources, "right", hop_cap):
         src = sources[first:first + dist.shape[0]]
         miss = (dist < 0) & is_good & (ids > src[:, None])
-        yield src, dist.max(axis=1), miss
-
-
-def one_path_coverage(g: WeightedGraph, B, good: np.ndarray,
-                      hop_cap: int | None = None,
-                      max_failures: int = 64) -> tuple[bool, list[tuple[int, int]], int]:
-    """Check that every good pair s < t is joined by a monotone path in g-B.
-
-    Returns (all_ok, failing pairs, max hops over checked sources).  Sources
-    are checked in the order of `good`, each source's failing t ascending;
-    the check stops at the source whose failure brings the list to
-    max_failures, and max hops covers the sources up to that one.
-    """
-    failures: list[tuple[int, int]] = []
-    max_hops = 0
-    for src, hops, miss in _coverage_blocks(g, B, good, hop_cap):
-        r, t = np.nonzero(miss)
-        room = max(max_failures - len(failures), 1)
-        failures.extend(zip(src[r[:room]].tolist(), t[:room].tolist()))
-        if r.size >= room:
-            return False, failures, max(max_hops, int(hops[:r[room - 1] + 1].max()))
-        max_hops = max(max_hops, int(hops.max()))
-    return (not failures), failures, max_hops
-
-
-def coverage_totals(g: WeightedGraph, B, good: np.ndarray,
-                    hop_cap: int | None = None) -> tuple[int, int]:
-    """(number of good pairs s < t with no monotone path in g-B, max hops
-    over all checked sources): one_path_coverage without its failure cap."""
-    failing, max_hops = 0, 0
-    for _, hops, miss in _coverage_blocks(g, B, good, hop_cap):
-        failing += int(np.count_nonzero(miss))
-        max_hops = max(max_hops, int(hops.max()))
-    return failing, max_hops
+        count = int(np.count_nonzero(miss))
+        if count and len(failures) < max_failures:
+            r, t = np.nonzero(miss)
+            room = max_failures - len(failures)
+            failures.extend(zip(src[r[:room]].tolist(), t[:room].tolist()))
+        failing += count
+        max_hops = max(max_hops, int(dist.max()))
+    return failures, failing, max_hops

@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .expanders import blocks_into_sink
-from .graph_core import EdgeSink, PointSet, WeightedGraph
-from .lso import OrderingFamily, build_ordering_family, family_size, sort_by_ordering
+from .graph_core import EdgeSink, PointSet, WeightedGraph, as_coords
+from .lso import build_ordering_family, family_size, sort_by_ordering
 from .quadtree import (build_quadtree, build_wspd, max_log2_spread, normalize_unit,
                        sibling_pairs, wspd_point_pair_counts)
 from .shadow import as_fraction
@@ -24,10 +24,6 @@ from .spanner1d import build_G_theta, shifted_interval_params
 from .streams import subseed
 
 NORM_MARGIN = 0.125  # keeps shifted-grid cells away from the unit-cube boundary
-
-
-def _coords(points) -> np.ndarray:
-    return points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +35,7 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     """Expander per WSPD pair (separation 6/eps) plus expanders between all
     sibling cells; survives failures outside the (1 - theta/2)-cell-shadow
     with stretch 1 + eps."""
-    coords = _coords(points)
+    coords = as_coords(points)
     ps = PointSet(coords)
     n = ps.n
     if n < 2:
@@ -159,7 +155,7 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     ordering contributes the same complete rank graph, so the union is built
     directly as the clique and labeled as such.
     """
-    coords = _coords(points)
+    coords = as_coords(points)
     ps = PointSet(coords)
     n, d = ps.n, ps.d
     if n < 2:
@@ -200,14 +196,3 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
         "norm_margin": NORM_MARGIN,
     }
     return WeightedGraph.from_pairs(n, u, v, positions=coords, meta=meta)
-
-
-def hd_rank_permutations(g: WeightedGraph) -> tuple[OrderingFamily, list[np.ndarray]]:
-    """Recompute the ordering family and per-ordering rank permutations for a
-    built ordering-union graph (used by the certification harness)."""
-    coords = g.positions
-    normed = ((coords - np.asarray(g.meta["norm_offset"])) * g.meta["norm_scale"]
-              + g.meta["norm_margin"])
-    family = build_ordering_family(g.meta["d"], g.meta["sigma"])
-    perms = [sort_by_ordering(o, normed) for o in family.orderings]
-    return family, perms

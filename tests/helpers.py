@@ -11,9 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from relspan.graph_core import PointSet, clean_vertex_set
+from relspan.graph_core import PointSet, clean_vertex_set, pow2_at_least
 from relspan.shadow import ShadowResult, as_fraction
-from relspan.spanner1d import pow2_at_least
 
 
 def edge_set(g) -> set[tuple[int, int]]:

@@ -192,11 +192,10 @@ def monotone_layers_bruteforce(n: int, edges, source: int, bad=(),
 
 def one_path_coverage_bruteforce(n: int, edges, bad, good, hop_cap=None,
                                  max_failures: int = 64):
-    """(all_ok, failing pairs, max hops) with one_path_coverage's contract:
-    sources in the order of `good` (skipping those with no good t above
-    them), each source's failing t ascending, and a stop right after the
-    failure that brings the list to max_failures, with max hops over the
-    sources visited so far."""
+    """(first max_failures failing pairs, failing count, max hops) with
+    one_path_coverage's contract: sources in the order of `good` (skipping
+    those with no good t above them), each source's failing t ascending, and
+    max hops over all those sources."""
     targets = sorted(set(good))
     failures: list[tuple[int, int]] = []
     max_hops = 0
@@ -207,12 +206,8 @@ def one_path_coverage_bruteforce(n: int, edges, bad, good, hop_cap=None,
         layers = monotone_layers_bruteforce(n, edges, s, bad, hop_cap)
         reached = set().union(*layers)
         max_hops = max(max_hops, len(layers) - 1)
-        for t in want:
-            if t not in reached:
-                failures.append((s, t))
-                if len(failures) >= max_failures:
-                    return False, failures, max_hops
-    return not failures, failures, max_hops
+        failures.extend((s, t) for t in want if t not in reached)
+    return failures[:max_failures], len(failures), max_hops
 
 
 def exact_path_bruteforce(n: int, edges, s: int, t: int, bad=(),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from relspan.graph_core import WeightedGraph
-from relspan.harness import AttackSpec, certify, generate_attack, loss_curve, write_loss_csv
+from relspan.harness import (AttackSpec, Certifier, certify, generate_attack, loss_curve,
+                             write_loss_csv)
 from relspan.spanner1d import build_G_theta, build_H
 from relspan.spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
 from relspan.streams import substream
@@ -204,7 +205,8 @@ def test_failing_pairs_monotone_in_b():
     for cut in (4, 8, 12):
         bad = np.sort(chain[:cut])
         good = np.setdiff1d(np.arange(64), bad)
-        _, failures, _ = one_path_coverage(g, bad, good, max_failures=10 ** 6)
+        failures, count, _ = one_path_coverage(g, bad, good, max_failures=10 ** 6)
+        assert count == len(failures)
         failing = {f for f in failures if f[0] not in bad and f[1] not in bad}
         surviving_prev = {f for f in prev_failing
                           if f[0] not in bad and f[1] not in bad}
@@ -264,3 +266,66 @@ def test_connectivity_certportion():
     assert rep.pair_sampling == {"mode": "components"}
     rep0 = certify(g, [])
     assert rep0.passed and rep0.bplus_size == 0
+
+
+# ---------------------------------------------------------------------------
+# the certification context
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Calls of build_quadtree and build_ordering_family made by the harness."""
+    import relspan.harness as harness
+    counts = {"build_quadtree": 0, "build_ordering_family": 0}
+    for name in counts:
+        original = getattr(harness, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+def test_one_context_builds_one_quadtree(bs_graph, build_counts):
+    spec = AttackSpec("greedy-shadow", 4, seed=1)
+    ctx = Certifier(bs_graph)
+    bad = ctx.attack(spec)
+    reports = [ctx.certify(b).as_dict() | {"runtime_s": 0} for b in (bad, [3, 40], [])]
+    assert build_counts["build_quadtree"] == 1
+    assert bad.tolist() == generate_attack(spec, bs_graph).tolist()
+    assert reports == [certify(bs_graph, b).as_dict() | {"runtime_s": 0}
+                       for b in (bad, [3, 40], [])]
+
+
+def test_loss_curve_builds_one_quadtree(bs_graph, build_counts):
+    rows = loss_curve(bs_graph, "greedy-shadow", [4], trials=20)
+    assert len(rows) == 21
+    assert build_counts["build_quadtree"] == 1
+
+
+@pytest.mark.parametrize("kind", ["random", "prefix", "interval", "ball"])
+def test_plain_attacks_build_nothing(kind, build_counts, bs_graph, h_graph):
+    # they need no shadow, so they work on graphs of any kind, even none
+    for g in (bs_graph, h_graph, WeightedGraph.from_pairs(5, [0], [1], positions=np.eye(5))):
+        if kind == "ball" and g.positions is None:
+            continue
+        assert generate_attack(AttackSpec(kind, 3, seed=2), g).size == 3
+    assert build_counts == {"build_quadtree": 0, "build_ordering_family": 0}
+
+
+def test_collapsed_rank_shadow_builds_no_family(build_counts):
+    pts = jittered_grid(8, 8, seed=11)
+    g = build_hd_spanner(pts, 0.5, "1/2", seed=12, sub_c=8, sub_mode="experimental")
+    rep = certify(g, generate_attack(AttackSpec("ball", 8, seed=3), g))
+    assert "per-ordering shadows collapse to B at this scale" in rep.notes
+    assert build_counts == {"build_quadtree": 0, "build_ordering_family": 0}
+
+
+def test_greedy_needs_a_shadow_certificate():
+    g = build_H(64, xi="1/2", seed=1)  # xi too large for the walk certificate
+    assert g.meta["cert_alpha"] is None
+    with pytest.raises(ValueError, match="no greedy-shadow objective"):
+        generate_attack(AttackSpec("greedy-shadow", 2), g)
+    with pytest.raises(ValueError, match="carries no shadow certificate"):
+        certify(g, [1])

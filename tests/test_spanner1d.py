@@ -1,4 +1,3 @@
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -6,12 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relspan.graph_core import monotone_reach_1d
+from relspan.graph_core import monotone_reach_1d, pow2_at_least
 from relspan.shadow import shadow_1d
-from relspan.spanner1d import (build_G_theta, build_H, canonical_walk,
-                               find_exact_path, g_theta_crossover,
-                               one_path_coverage, pow2_at_least, shift_start,
-                               shifted_interval_params)
+from relspan.spanner1d import (build_G_theta, build_H, find_exact_path, g_theta_crossover,
+                               one_path_coverage, shift_start, shifted_interval_params)
 from relspan.streams import substream
 
 from helpers import edge_set, graph_sha256, h_level_budget
@@ -76,6 +73,53 @@ def test_block_tree_invariants():
 # ---------------------------------------------------------------------------
 # canonical walk
 # ---------------------------------------------------------------------------
+
+@dataclass
+class CanonicalWalk:
+    """Ascending and descending block sequences between two leaves.
+
+    Blocks are inclusive id intervals (lo, hi).  Consecutive ascent blocks
+    are same-level neighbors or the parent of the previous one; the walk ends
+    with the two tops being same-level neighbors.
+    """
+
+    ascent: list[tuple[int, int]]
+    descent: list[tuple[int, int]]
+
+
+def canonical_walk(n: int, i: int, j: int) -> CanonicalWalk:
+    """Walk the block tree from leaf i up, across, and down to leaf j: the
+    route build_H's reliability argument follows.
+
+    Rules, applied in order each iteration: stop when the active blocks are
+    neighbors; advance a right-child left block to its next neighbor; retreat
+    a left-child right block to its previous neighbor; otherwise ascend both.
+    """
+    if i >= j:
+        raise ValueError("require i < j")
+    tree = BlockTree(pow2_at_least(n))
+    if not (0 <= i and j < tree.n_padded):
+        raise ValueError("leaves out of range")
+    lev = 0
+    bi, bj = i, j
+    ascent = [tree.block_of(i, 0)]
+    descent = [tree.block_of(j, 0)]
+    while bj != bi + 1:
+        if bi & 1:  # right child: step to the next block
+            bi += 1
+            ascent.append(tree.block_of(bi << lev, lev))
+        elif not (bj & 1):  # left child: step to the previous block
+            bj -= 1
+            descent.append(tree.block_of(bj << lev, lev))
+        else:  # ascend
+            lev += 1
+            bi >>= 1
+            bj >>= 1
+            ascent.append(tree.block_of(bi << lev, lev))
+            descent.append(tree.block_of(bj << lev, lev))
+    descent.reverse()
+    return CanonicalWalk(ascent, descent)
+
 
 def test_walk_adjacent_leaves():
     w = canonical_walk(8, 2, 3)
@@ -175,8 +219,8 @@ def test_h_reliability_smoke():
         bad = rng.choice(128, size=8, replace=False)
         shadowed = shadow_1d(128, bad, alpha).members
         good = np.setdiff1d(np.arange(128), np.union1d(bad, shadowed))
-        ok, failures, _ = one_path_coverage(g, bad, good)
-        assert ok, failures[:5]
+        failures, failing, _ = one_path_coverage(g, bad, good)
+        assert failing == 0, failures[:5]
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +287,8 @@ def test_g_theta_reliability_and_hops_smoke():
         bad = rng.choice(256, size=16, replace=False)
         shadowed = shadow_1d(256, bad, alpha).members
         good = np.setdiff1d(np.arange(256), np.union1d(bad, shadowed))
-        ok, failures, max_hops = one_path_coverage(g, bad, good, hop_cap)
-        assert ok, failures[:5]
+        failures, failing, max_hops = one_path_coverage(g, bad, good, hop_cap)
+        assert failing == 0, failures[:5]
         assert max_hops <= hop_cap
 
 

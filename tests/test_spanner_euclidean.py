@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_matrix
+from relspan.harness import Certifier
 from relspan.lso import build_ordering_family, sort_by_ordering
 from relspan.spanner1d import build_G_theta
 from relspan.quadtree import max_log2_spread, normalize_unit
 from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
-                                       build_hd_spanner, hd_config,
-                                       hd_rank_permutations, union_over_orderings)
+                                       build_hd_spanner, hd_config, union_over_orderings)
 from relspan.streams import substream
 
 from helpers import edge_set, graph_sha256
@@ -343,19 +343,18 @@ def test_union_over_orderings_pinned(shape):
 
 
 def test_hd_rank_permutations_pinned():
+    # the certification context's per-ordering rank permutations
     g = build_hd_spanner(pin_grid((8, 8), 2), 0.99, "1/2", seed=1, sub_c=8,
                          sub_mode="experimental")
-    family, perms = hd_rank_permutations(g)
-    assert family.M == 17880
+    perms = Certifier(g).rank_permutations
+    assert len(perms) == g.meta["M"] == 17880
     assert int64_sha256(*perms) == "46054d6b85685c3a0413149cce9544238049394828aaf5fe7f85bb43a764378a"
     # d = 3 through a hand-made graph, to keep the family at M = 4959
     pts = pin_grid((4, 4, 4), 3)
-    _, scale, offset = normalize_unit(pts, margin=NORM_MARGIN)
     g3 = WeightedGraph.from_pairs(64, [0], [1], positions=pts, meta={
-        "d": 3, "sigma": 0.5, "norm_offset": offset.tolist(), "norm_scale": scale,
-        "norm_margin": NORM_MARGIN})
-    family, perms = hd_rank_permutations(g3)
-    assert family.M == 4959
+        "d": 3, "sigma": 0.5, "norm_margin": NORM_MARGIN})
+    perms = Certifier(g3).rank_permutations
+    assert len(perms) == 4959
     assert int64_sha256(*perms) == "f3aa2bcd3d746c5ea829c848f056c4df4616ca0dbfee22150285717ca13df7b8"
 
 
