@@ -23,7 +23,7 @@ from .expanders import (build_bipartite_expander, build_reliable_connectivity,
                         build_strong_expander, build_verified_bipartite,
                         verify_connectivity_sampled, verify_expansion_sampled,
                         verify_strong_expansion, verify_strong_sampled)
-from .graph_core import WeightedGraph, load_edge_list, load_points
+from .graph_core import WeightedGraph, clean_vertex_set, load_edge_list, load_points
 from .harness import AttackSpec, certify, generate_attack, loss_curve, write_loss_csv
 from .lso import build_ordering_family, check_lso_property
 from .quadtree import build_quadtree, normalize_unit
@@ -87,10 +87,7 @@ def load_graph(path: str) -> WeightedGraph:
 
 def _load_bad(path, n: int) -> np.ndarray:
     ids = [int(tok) for tok in Path(path).read_text(encoding="utf-8").split()]
-    arr = np.unique(np.asarray(ids, dtype=np.int64))
-    if arr.size and (arr[0] < 0 or arr[-1] >= n):
-        raise ValueError("failure id out of range")
-    return arr
+    return clean_vertex_set(ids, n)
 
 
 def _write_json(path, payload: dict) -> None:

@@ -57,7 +57,10 @@ def vertex_ids(ids, n: int) -> np.ndarray:
 
 def clean_vertex_set(ids, n: int) -> np.ndarray:
     """Sorted, deduplicated int64 array of vertex ids, validated against n."""
-    return np.unique(vertex_ids(ids, n))
+    arr = np.sort(vertex_ids(ids, n))
+    first = np.ones(arr.size, dtype=bool)
+    first[1:] = arr[1:] != arr[:-1]
+    return arr[first]
 
 
 # ---------------------------------------------------------------------------

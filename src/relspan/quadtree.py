@@ -6,15 +6,14 @@ degenerate cell at their point (zero extent), which makes the WSPD recursion
 terminate for arbitrarily close pairs while keeping separation certificates
 purely cell-based.
 
-Bulk work (the WSPD, the shadows) runs on the tree's array form,
-Quadtree.arrays, which is built on first use.
+The tree is a set of arrays, built level by level over all pending cells at
+once, and the WSPD and the shadows run on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,43 +22,32 @@ from .graph_core import as_coords
 MAX_DEPTH = 64
 
 
-@dataclass
-class QuadNode:
-    id: int
-    cell_min: np.ndarray
-    cell_size: float  # 0.0 for a singleton leaf cell
-    point_ids: np.ndarray
-    depth: int
-    parent: int | None = None
-    children: list[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-    def diameter(self) -> float:
-        return self.cell_size * np.sqrt(len(self.cell_min))
-
-
 @dataclass(frozen=True)
-class TreeArrays:
-    """Array form of a quadtree with m nodes; id m is a padding node.
+class Quadtree:
+    """Compressed quadtree with m nodes as arrays: node 0 is the root and
+    id m a padding node.
 
-    The children of node i are children[child_ptr[i]:child_ptr[i + 1]] and
-    its points point_ids[point_ptr[i]:point_ptr[i + 1]], both in the order
-    of the node's lists.
+    The children of node i are children[child_ptr[i]:child_ptr[i + 1]], in
+    ascending child-code order, and its points
+    point_ids[point_ptr[i]:point_ptr[i + 1]], ascending.  Node ids are those
+    of a build that pops cells from a stack and numbers a popped cell's
+    children consecutively.
     """
 
     cell_min: np.ndarray  # (m, d)
-    cell_size: np.ndarray  # (m,)
+    cell_size: np.ndarray  # (m,), 0.0 for a singleton leaf cell
     diameter: np.ndarray  # (m,) cell_size * sqrt(d)
     child_ptr: np.ndarray  # (m + 1,)
     children: np.ndarray
     point_ptr: np.ndarray  # (m + 1,)
     point_ids: np.ndarray
     size: np.ndarray  # (m + 1,) points per node, 0 for the padding node
-    postorder: np.ndarray  # node ids in Quadtree.postorder() order
+    postorder: np.ndarray  # node ids, children before parents, last child first
     paths: np.ndarray  # (n_points, height): each point's cells, root first, padded with m
+
+    @property
+    def n_points(self) -> int:
+        return self.paths.shape[0]
 
     @property
     def pad(self) -> int:
@@ -72,108 +60,122 @@ class TreeArrays:
         return counts
 
 
-@dataclass
-class Quadtree:
-    nodes: list[QuadNode]
-    root: int
-    points: np.ndarray  # normalized coords in [0,1)^d
-    n_points: int
-
-    def postorder(self) -> list[int]:
-        order: list[int] = []
-        stack = [(self.root, False)]
-        while stack:
-            idx, done = stack.pop()
-            if done:
-                order.append(idx)
-            else:
-                stack.append((idx, True))
-                for c in self.nodes[idx].children:
-                    stack.append((c, False))
-        return order
-
-    def leaves(self) -> list[int]:
-        return [node.id for node in self.nodes if node.is_leaf]
-
-    @cached_property
-    def arrays(self) -> TreeArrays:
-        """The array form, built on first use and kept, so only trees that
-        need it pay for it."""
-        nodes = self.nodes
-        m = len(nodes)
-        size = np.array([len(node.point_ids) for node in nodes] + [0], dtype=np.int64)
-        nkids = np.array([len(node.children) for node in nodes], dtype=np.int64)
-        cell_size = np.array([node.cell_size for node in nodes], dtype=np.float64)
-        cell_min = np.array([node.cell_min for node in nodes], dtype=np.float64)
-        level = [0] * m
-        for node in nodes[1:]:  # a child's id is larger than its parent's
-            level[node.id] = level[node.parent] + 1
-        level = np.asarray(level, dtype=np.int64)
-        point_ids = np.concatenate([node.point_ids for node in nodes])
-        owner = np.repeat(np.arange(m, dtype=np.int64), size[:-1])
-        paths = np.full((self.n_points, int(level.max()) + 1), m, dtype=np.int64)
-        paths[point_ids, level[owner]] = owner
-        return TreeArrays(
-            cell_min=cell_min, cell_size=cell_size,
-            diameter=cell_size * np.sqrt(cell_min.shape[1]),
-            child_ptr=np.concatenate([[0], np.cumsum(nkids)]),
-            children=np.array([c for node in nodes for c in node.children], dtype=np.int64),
-            point_ptr=np.concatenate([[0], np.cumsum(size[:-1])]),
-            point_ids=point_ids, size=size,
-            postorder=np.asarray(self.postorder(), dtype=np.int64), paths=paths)
-
-
 def build_quadtree(points, already_normalized: bool = False) -> Quadtree:
     """Compressed quadtree; points are normalized into [0,1)^d unless the
-    caller says they already are."""
+    caller says they already are.
+
+    The build runs level by level over all pending multi-point cells at
+    once.  Each level takes the child code of every point, compresses in
+    place the cells whose points all share one code and splits the others
+    into children, in ascending code order.  Nodes get creation ids as they
+    are made; their final ids and the postorder follow from subtree sizes.
+    """
     coords = as_coords(points)
     n, d = coords.shape
     if not already_normalized:
         coords, _, _ = normalize_unit(coords)
-    nodes: list[QuadNode] = []
+    bits = np.arange(d)
+    cap = max(2 * n - 1, 1)  # a compressed tree over n points has at most 2n - 1 nodes
+    # per creation id (node 0 is the root)
+    parent = np.zeros(cap, dtype=np.int64)
+    level = np.zeros(cap, dtype=np.int64)
+    cell_min = np.zeros((cap, d), dtype=np.float64)
+    cell_size = np.ones(cap, dtype=np.float64)
+    batches = []  # creation ids made together: the children of one level's splits
+    # (point, creation id) of every node's points, node after node
+    members, owners = [np.arange(n, dtype=np.int64)], [np.zeros(n, dtype=np.int64)]
+    m = 1
+    if n == 1:
+        cell_min[0], cell_size[0] = coords[0], 0.0
+    # the pending multi-point cells and their points, grouped by cell
+    node = np.zeros(int(n > 1), dtype=np.int64)
+    lo, side = cell_min[node], cell_size[node]
+    pts = np.arange(n if n > 1 else 0, dtype=np.int64)
+    own = np.zeros(pts.size, dtype=np.int64)
+    depth = 0
+    while node.size:
+        if depth > MAX_DEPTH:
+            raise ValueError("quadtree depth exceeded: spread too large or duplicate points")
+        half = side / 2.0
+        codes = ((coords[pts] >= (lo + half[:, None])[own]) << bits).sum(axis=1)
+        order = np.argsort(own * (1 << d) + codes, kind="stable")
+        pts, own, codes = pts[order], own[order], codes[order]
+        first = np.ones(pts.size, dtype=bool)
+        first[1:] = (own[1:] != own[:-1]) | (codes[1:] != codes[:-1])
+        start = np.flatnonzero(first)  # one group per occupied child cell
+        g_own, g_size = own[start], np.diff(np.append(start, pts.size))
+        offs = ((codes[start][:, None] >> bits) & 1).astype(np.float64)
+        g_lo, g_side = lo[g_own] + offs * half[g_own][:, None], half[g_own]
+        # a cell with one occupied child compresses in place; the others keep
+        # their cell and make one node per occupied child
+        split = np.bincount(g_own, minlength=node.size) > 1
+        cell_min[node[split]], cell_size[node[split]] = lo[split], side[split]
+        born = split[g_own]
+        g_node = node[g_own]
+        new = np.arange(m, m + int(born.sum()))
+        parent[new], g_node[born] = g_node[born], new
+        level[new] = level[parent[new]] + 1
+        cell_min[new], cell_size[new] = g_lo[born], g_side[born]
+        one = born & (g_size == 1)  # singleton cells become the degenerate cell at their point
+        cell_min[g_node[one]], cell_size[g_node[one]] = coords[pts[start[one]]], 0.0
+        if new.size:
+            batches.append((m, m + new.size))
+            members.append(pts[np.repeat(born, g_size)])
+            owners.append(np.repeat(new, g_size[born]))
+            m += new.size
+        keep = ~one
+        node, lo, side = g_node[keep], g_lo[keep], g_side[keep]
+        pts = pts[np.repeat(keep, g_size)]
+        own = np.repeat(np.arange(node.size), g_size[keep])
+        depth += 1
 
-    def new_node(cell_min, cell_size, ids, depth, parent):
-        node = QuadNode(len(nodes), np.asarray(cell_min, dtype=np.float64),
-                        float(cell_size), np.asarray(ids, dtype=np.int64),
-                        depth, parent)
-        nodes.append(node)
-        return node.id
+    parent, level = parent[:m], level[:m]
+    ids, post = _stack_numbering(parent, level, batches)
+    by_id = np.empty(m, dtype=np.int64)
+    by_id[ids] = np.arange(m)
+    up = ids[parent[by_id[1:]]]  # the parent of each non-root node, by final id
+    member, owner = np.concatenate(members), ids[np.concatenate(owners)]
+    size = np.bincount(owner, minlength=m + 1)
+    paths = np.full((n, int(level.max()) + 1), m, dtype=np.int64)
+    paths[member, level[by_id][owner]] = owner
+    cell_size = cell_size[by_id]
+    return Quadtree(
+        cell_min=cell_min[by_id], cell_size=cell_size, diameter=cell_size * np.sqrt(d),
+        child_ptr=np.concatenate([[0], np.cumsum(np.bincount(up, minlength=m))]),
+        children=1 + np.argsort(up, kind="stable"),
+        point_ptr=np.concatenate([[0], np.cumsum(size[:-1])]),
+        point_ids=member[np.argsort(owner, kind="stable")],
+        size=size, postorder=post, paths=paths)
 
-    root = new_node(np.zeros(d), 1.0, np.arange(n), 0, None)
-    stack = [root]
-    while stack:
-        idx = stack.pop()
-        node = nodes[idx]
-        ids = node.point_ids
-        if len(ids) == 1:
-            # collapse to the degenerate cell at the point
-            node.cell_min = coords[ids[0]].copy()
-            node.cell_size = 0.0
-            continue
-        cell_min, size, depth = node.cell_min, node.cell_size, node.depth
-        while True:
-            if depth > MAX_DEPTH:
-                raise ValueError("quadtree depth exceeded: spread too large or duplicate points")
-            half = size / 2.0
-            mid = cell_min + half
-            codes = ((coords[ids] >= mid) << np.arange(d)).sum(axis=1)
-            present = np.unique(codes)
-            if len(present) > 1:
-                break
-            # single occupied subcell: compress the chain
-            code = int(present[0])
-            offs = np.array([(code >> k) & 1 for k in range(d)], dtype=np.float64)
-            cell_min = cell_min + offs * half
-            size = half
-            depth += 1
-        node.cell_min, node.cell_size, node.depth = cell_min, size, depth
-        for code in present.tolist():
-            sub = ids[codes == code]
-            offs = np.array([(code >> k) & 1 for k in range(d)], dtype=np.float64)
-            child = new_node(cell_min + offs * half, half, sub, depth + 1, idx)
-            node.children.append(child)
-            stack.append(child)
-    return Quadtree(nodes, root, coords, n)
+
+def _stack_numbering(parent: np.ndarray, level: np.ndarray, batches) -> tuple[np.ndarray, ...]:
+    """(final id by creation id, postorder of final ids) of a tree whose
+    batches of siblings come in creation order, parents before children.
+
+    The final ids are those of a build that pops nodes from a stack and
+    numbers a popped node's children next, in code order, then pushes them
+    in that order; it pops them in the preorder that visits children
+    last-first.  The postorder (last child first) is the reverse of the
+    preorder that visits children first-first.  A node's positions in the
+    two preorders add up to its level plus the nodes outside its subtree.
+    """
+    m = parent.size
+    below = np.zeros(m, dtype=np.int64)  # descendants
+    for s, e in reversed(batches):
+        np.add.at(below, parent[s:e], below[s:e] + 1)
+    pre = np.zeros(m, dtype=np.int64)  # position in the first-first preorder
+    for s, e in batches:
+        w = below[s:e] + 1
+        ahead = np.cumsum(w) - w
+        head = np.ones(e - s, dtype=bool)  # the first child of its parent
+        head[1:] = parent[s + 1:e] != parent[s:e - 1]
+        pre[s:e] = pre[parent[s:e]] + 1 + ahead - ahead[head][np.cumsum(head) - 1]
+    popped = level + (m - 1 - below) - pre
+    ids = np.zeros(m, dtype=np.int64)
+    ids[1 + np.argsort(popped[parent[1:]], kind="stable")] = np.arange(1, m)
+    post = np.empty(m, dtype=np.int64)
+    post[m - 1 - pre] = ids
+    return ids, post
 
 
 def normalize_unit(coords: np.ndarray, margin: float = 0.125) -> tuple[np.ndarray, float, np.ndarray]:
@@ -247,18 +249,17 @@ def build_wspd(tree: Quadtree, s: float) -> WspdPairs:
     """
     if s <= 0:
         raise ValueError("separation must be positive")
-    arr = tree.arrays
-    nkids = np.diff(arr.child_ptr)
+    nkids = np.diff(tree.child_ptr)
     leaf = nkids == 0
-    a = b = np.array([tree.root], dtype=np.int64)
+    a = b = np.zeros(1, dtype=np.int64)
     levels = []  # per level: (emit mask, child offsets, emitted u, v, separation)
     while a.size:
-        lo_a, lo_b = arr.cell_min[a], arr.cell_min[b]
-        gap_lo = lo_a - (lo_b + arr.cell_size[b][:, None])
-        gap_hi = lo_b - (lo_a + arr.cell_size[a][:, None])
+        lo_a, lo_b = tree.cell_min[a], tree.cell_min[b]
+        gap_lo = lo_a - (lo_b + tree.cell_size[b][:, None])
+        gap_hi = lo_b - (lo_a + tree.cell_size[a][:, None])
         gaps = np.maximum(np.maximum(gap_lo, gap_hi), 0.0)
         dist = np.sqrt((gaps ** 2).sum(axis=1))
-        da, db = arr.diameter[a], arr.diameter[b]
+        da, db = tree.diameter[a], tree.diameter[b]
         big = np.maximum(da, db)
         same = a == b
         emit = ~same & (dist >= s * big)
@@ -269,16 +270,16 @@ def build_wspd(tree: Quadtree, s: float) -> WspdPairs:
         selfs = np.nonzero(same & ~leaf[a])[0]
         item_s, i, j = _child_pairs(nkids[a[selfs]], diagonal=True)
         item_s = selfs[item_s]
-        base = arr.child_ptr[a[item_s]]
-        parts = [(item_s, arr.children[base + i], arr.children[base + j])]
+        base = tree.child_ptr[a[item_s]]
+        parts = [(item_s, tree.children[base + i], tree.children[base + j])]
         for mask, first in ((split_a, True), (split_b, False)):
             items = np.nonzero(mask)[0]
             split = (a if first else b)[items]
             cnt = nkids[split]
             item = np.repeat(items, cnt)
             # child k of item t sits at child_ptr[split[t]] + k
-            shift = np.repeat(arr.child_ptr[split] - (np.cumsum(cnt) - cnt), cnt)
-            child = arr.children[shift + np.arange(item.size)]
+            shift = np.repeat(tree.child_ptr[split] - (np.cumsum(cnt) - cnt), cnt)
+            child = tree.children[shift + np.arange(item.size)]
             parts.append((item, child, b[item]) if first else (item, a[item], child))
         item = np.concatenate([p[0] for p in parts])
         order = np.argsort(item, kind="stable")
@@ -317,17 +318,15 @@ def build_wspd(tree: Quadtree, s: float) -> WspdPairs:
 def sibling_pairs(tree: Quadtree) -> tuple[np.ndarray, ...]:
     """Every pair of sibling cells as (parent, i, j, child i, child j), with
     i < j indexing the parent's children, parents in id order."""
-    arr = tree.arrays
-    parent, i, j = _child_pairs(np.diff(arr.child_ptr), diagonal=False)
-    base = arr.child_ptr[parent]
-    return parent, i, j, arr.children[base + i], arr.children[base + j]
+    parent, i, j = _child_pairs(np.diff(tree.child_ptr), diagonal=False)
+    base = tree.child_ptr[parent]
+    return parent, i, j, tree.children[base + i], tree.children[base + j]
 
 
 def wspd_point_pair_counts(tree: Quadtree, pairs: WspdPairs) -> np.ndarray:
     """How many WSPD pairs each point participates in: the pairs at the
     cells on its root path."""
-    arr = tree.arrays
-    per_node = (np.bincount(pairs.u, minlength=arr.pad + 1)
-                + np.bincount(pairs.v, minlength=arr.pad + 1))
-    per_node[arr.pad] = 0
-    return per_node[arr.paths].sum(axis=1)
+    per_node = (np.bincount(pairs.u, minlength=tree.pad + 1)
+                + np.bincount(pairs.v, minlength=tree.pad + 1))
+    per_node[tree.pad] = 0
+    return per_node[tree.paths].sum(axis=1)

@@ -115,7 +115,8 @@ def shadow_1d(n: int, B, alpha, side: str = "both", witness: bool = False) -> Sh
             witnesses[n - 1 - i] = (n - 1 - hi, n - 1 - lo)
 
     if side == "both":
-        members = np.union1d(members_by_side["left"], members_by_side["right"])
+        members = clean_vertex_set(
+            np.concatenate([members_by_side["left"], members_by_side["right"]]), n)
     else:
         members = members_by_side[side]
     return ShadowResult(a, n, side, members, witnesses if witness else None)
@@ -212,15 +213,14 @@ def _at_least(fraction: Fraction, part: np.ndarray, whole: np.ndarray) -> np.nda
 
 
 def _quadtree_failures(tree, B, gamma):
-    """(gamma, the tree's array form, failed points of B per cell, mask of
-    the cells that are >= gamma failed, B as sorted ids)."""
+    """(gamma, failed points of B per cell, mask of the cells that are
+    >= gamma failed, B as sorted ids)."""
     g = as_fraction(gamma)
     if not (0 < g <= 1):
         raise ValueError("gamma must be in (0, 1]")
     bad = clean_vertex_set(B, tree.n_points)
-    arrays = tree.arrays
-    nbad = arrays.count(bad)
-    return g, arrays, nbad, (arrays.size > 0) & _at_least(g, nbad, arrays.size), bad
+    nbad = tree.count(bad)
+    return g, nbad, (tree.size > 0) & _at_least(g, nbad, tree.size), bad
 
 
 def shadow_quadtree(tree, B, gamma) -> QuadtreeShadow:
@@ -228,15 +228,15 @@ def shadow_quadtree(tree, B, gamma) -> QuadtreeShadow:
 
     Failed points are counted per cell along each point's root path;
     membership comparisons are integer-exact.  shadowed_nodes lists the
-    shadowed cells in Quadtree.postorder() order, maximal_nodes those of
-    them with no shadowed ancestor, in the same order.
+    shadowed cells in the order of Quadtree.postorder, maximal_nodes those
+    of them with no shadowed ancestor, in the same order.
     """
-    g, arrays, _, shadowed, _ = _quadtree_failures(tree, B, gamma)
-    on_path = shadowed[arrays.paths]
+    g, _, shadowed, _ = _quadtree_failures(tree, B, gamma)
+    on_path = shadowed[tree.paths]
     covered = np.nonzero(on_path.any(axis=1))[0]
-    maximal = np.zeros(arrays.size.size, dtype=bool)  # a covered point's top shadowed cell
-    maximal[arrays.paths[covered, on_path[covered].argmax(axis=1)]] = True
-    post = arrays.postorder
+    maximal = np.zeros(tree.size.size, dtype=bool)  # a covered point's top shadowed cell
+    maximal[tree.paths[covered, on_path[covered].argmax(axis=1)]] = True
+    post = tree.postorder
     return QuadtreeShadow(g, covered.astype(np.int64), post[shadowed[post]].tolist(),
                           post[maximal[post]].tolist())
 
@@ -250,11 +250,11 @@ def shadow_quadtree_candidate_sizes(tree, B, gamma) -> np.ndarray:
     on that path that reaches gamma; the number of them not yet shadowed
     grows toward the root, so it is the largest such count on the path.
     """
-    g, arrays, nbad, shadowed, bad = _quadtree_failures(tree, B, gamma)
-    covered = np.nonzero(shadowed[arrays.paths].any(axis=1))[0]
-    new = arrays.size - arrays.count(covered)
-    gain = np.where(_at_least(g, nbad + 1, arrays.size), new, 0)
-    sizes = covered.size + gain[arrays.paths].max(axis=1)
+    g, nbad, shadowed, bad = _quadtree_failures(tree, B, gamma)
+    covered = np.nonzero(shadowed[tree.paths].any(axis=1))[0]
+    new = tree.size - tree.count(covered)
+    gain = np.where(_at_least(g, nbad + 1, tree.size), new, 0)
+    sizes = covered.size + gain[tree.paths].max(axis=1)
     sizes[bad] = covered.size
     return sizes
 

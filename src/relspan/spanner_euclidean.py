@@ -26,6 +26,17 @@ from .streams import subseed
 NORM_MARGIN = 0.125  # keeps shifted-grid cells away from the unit-cube boundary
 
 
+def _distinct_points(coords: np.ndarray) -> PointSet:
+    """The input of a Euclidean builder: at least 2 points, no two equal."""
+    ps = PointSet(coords)
+    if ps.n < 2:
+        raise ValueError("need at least 2 points")
+    rows = ps.coords[np.lexsort(ps.coords.T)]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
+        raise ValueError("point set contains duplicate points")
+    return ps
+
+
 # ---------------------------------------------------------------------------
 # bounded spread: quadtree + WSPD + expanders
 # ---------------------------------------------------------------------------
@@ -36,10 +47,8 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     sibling cells; survives failures outside the (1 - theta/2)-cell-shadow
     with stretch 1 + eps."""
     coords = as_coords(points)
-    ps = PointSet(coords)
+    ps = _distinct_points(coords)
     n = ps.n
-    if n < 2:
-        raise ValueError("need at least 2 points")
     theta = as_fraction(theta)
     if not (0 < theta < Fraction(1, 2)):
         raise ValueError("theta must be in (0, 1/2)")
@@ -56,7 +65,7 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     pairs = build_wspd(tree, separation)
     xi = theta / 8
     sink = EdgeSink(n)
-    ptr, ids = tree.arrays.point_ptr, tree.arrays.point_ids  # cell c: ids[ptr[c]:ptr[c + 1]]
+    ptr, ids = tree.point_ptr, tree.point_ids  # cell c: ids[ptr[c]:ptr[c + 1]]
     size = np.diff(ptr)
     budget = blocks_into_sink(sink, ids, ptr[pairs.u], size[pairs.u], ptr[pairs.v], size[pairs.v],
                               xi, seed, lambda i: ("wspd", i), degree_constant_override)
@@ -156,10 +165,8 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     directly as the clique and labeled as such.
     """
     coords = as_coords(points)
-    ps = PointSet(coords)
+    ps = _distinct_points(coords)
     n, d = ps.n, ps.d
-    if n < 2:
-        raise ValueError("need at least 2 points")
     cfg = hd_config(n, d, epsilon, theta, variant, c2)
     normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
     N1d, _ = shifted_interval_params(cfg["theta_prime"], sub_c)

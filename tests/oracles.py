@@ -10,13 +10,14 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from relspan.graph_core import PointSet
 from relspan.lso import family_shape
-from relspan.quadtree import build_quadtree, normalize_unit
+from relspan.quadtree import MAX_DEPTH, normalize_unit
 from relspan.streams import substream
 
 
@@ -246,6 +247,101 @@ def edge_text_py(u, v) -> str:
     return "".join(map("{} {}\n".format, np.asarray(u).tolist(), np.asarray(v).tolist()))
 
 
+@dataclass
+class QuadNode:
+    id: int
+    cell_min: np.ndarray
+    cell_size: float  # 0.0 for a singleton leaf cell
+    point_ids: np.ndarray
+    depth: int
+    parent: int | None = None
+    children: list[int] = field(default_factory=list)
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+    def diameter(self) -> float:
+        return self.cell_size * np.sqrt(len(self.cell_min))
+
+
+@dataclass
+class NodeQuadtree:
+    nodes: list[QuadNode]
+    root: int
+    points: np.ndarray  # normalized coords in [0,1)^d
+    n_points: int
+
+    def postorder(self) -> list[int]:
+        order: list[int] = []
+        stack = [(self.root, False)]
+        while stack:
+            idx, done = stack.pop()
+            if done:
+                order.append(idx)
+            else:
+                stack.append((idx, True))
+                for c in self.nodes[idx].children:
+                    stack.append((c, False))
+        return order
+
+
+def quadtree_nodes(points, already_normalized: bool = False) -> NodeQuadtree:
+    """The compressed quadtree as one object per node, built one node at a
+    time: cells are popped from a stack, a multi-point cell is halved while
+    its points share one child code, then split into its occupied children
+    in ascending code order, numbered consecutively and pushed in that
+    order.  The node-walking oracles read this form."""
+    coords = np.asarray(points, dtype=np.float64)
+    n, d = coords.shape
+    if not already_normalized:
+        coords, _, _ = normalize_unit(coords)
+    nodes: list[QuadNode] = []
+
+    def new_node(cell_min, cell_size, ids, depth, parent):
+        node = QuadNode(len(nodes), np.asarray(cell_min, dtype=np.float64),
+                        float(cell_size), np.asarray(ids, dtype=np.int64),
+                        depth, parent)
+        nodes.append(node)
+        return node.id
+
+    root = new_node(np.zeros(d), 1.0, np.arange(n), 0, None)
+    stack = [root]
+    while stack:
+        idx = stack.pop()
+        node = nodes[idx]
+        ids = node.point_ids
+        if len(ids) == 1:
+            # collapse to the degenerate cell at the point
+            node.cell_min = coords[ids[0]].copy()
+            node.cell_size = 0.0
+            continue
+        cell_min, size, depth = node.cell_min, node.cell_size, node.depth
+        while True:
+            if depth > MAX_DEPTH:
+                raise ValueError("quadtree depth exceeded: spread too large or duplicate points")
+            half = size / 2.0
+            mid = cell_min + half
+            codes = ((coords[ids] >= mid) << np.arange(d)).sum(axis=1)
+            present = np.unique(codes)
+            if len(present) > 1:
+                break
+            # single occupied subcell: compress the chain
+            code = int(present[0])
+            offs = np.array([(code >> k) & 1 for k in range(d)], dtype=np.float64)
+            cell_min = cell_min + offs * half
+            size = half
+            depth += 1
+        node.cell_min, node.cell_size, node.depth = cell_min, size, depth
+        for code in present.tolist():
+            sub = ids[codes == code]
+            offs = np.array([(code >> k) & 1 for k in range(d)], dtype=np.float64)
+            child = new_node(cell_min + offs * half, half, sub, depth + 1, idx)
+            node.children.append(child)
+            stack.append(child)
+    return NodeQuadtree(nodes, root, coords, n)
+
+
 def shadow_quadtree_walk(tree, bad, gamma: Fraction):
     """(members, shadowed nodes, maximal nodes) of the gamma-quadtree shadow
     by one bottom-up walk.
@@ -374,11 +470,11 @@ def box_band_count_bruteforce(d: int, r: int, s_lo: int, s_hi: int, step: int) -
     return sum(poly[max(s_lo, 0):])
 
 
-def cell_distance(a, b) -> float:
-    """Distance between two axis-aligned quadtree cells (0 when they touch or
-    overlap)."""
-    gap_lo = a.cell_min - (b.cell_min + b.cell_size)
-    gap_hi = b.cell_min - (a.cell_min + a.cell_size)
+def cell_distance(min_a, size_a, min_b, size_b) -> float:
+    """Distance between two axis-aligned quadtree cells, each given by its
+    lower corner and side (0 when they touch or overlap)."""
+    gap_lo = min_a - (min_b + size_b)
+    gap_hi = min_b - (min_a + size_a)
     gaps = np.maximum(np.maximum(gap_lo, gap_hi), 0.0)
     return float(np.sqrt((gaps ** 2).sum()))
 
@@ -402,7 +498,7 @@ def wspd_recursive(tree, s: float) -> list[tuple[int, int, float]]:
                     recurse(kids[i], kids[j])
             return
         da, db = a.diameter(), b.diameter()
-        dist = cell_distance(a, b)
+        dist = cell_distance(a.cell_min, a.cell_size, b.cell_min, b.cell_size)
         if dist >= s * max(da, db):
             sep = dist / max(da, db) if max(da, db) > 0 else float("inf")
             out.append((ua, ub, sep))
@@ -548,7 +644,7 @@ def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0
     n = ps.n
     margin = 0.125
     normed, scale, offset = normalize_unit(coords, margin=margin)
-    tree = build_quadtree(normed, already_normalized=True)
+    tree = quadtree_nodes(normed, already_normalized=True)
     separation = 6.0 / epsilon
     pairs = wspd_recursive(tree, separation)
     xi = theta / 8

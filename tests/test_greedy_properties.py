@@ -19,7 +19,7 @@ from relspan.quadtree import build_quadtree, normalize_unit
 from relspan.shadow import (shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
                             shadow_quadtree_candidate_sizes)
 
-from oracles import (candidate_sizes_bruteforce, greedy_shadow_bruteforce,
+from oracles import (candidate_sizes_bruteforce, greedy_shadow_bruteforce, quadtree_nodes,
                      shadow_1d_bruteforce, shadow_quadtree_walk)
 
 BIG = 2 ** 61
@@ -68,7 +68,8 @@ def test_quadtree_shadow_matches_walk(pts, gamma, data):
     tree = build_quadtree(pts, already_normalized=True)
     bad = data.draw(subsets(len(pts)))
     res = shadow_quadtree(tree, bad, gamma)
-    members, shadowed, maximal = shadow_quadtree_walk(tree, bad, gamma)
+    members, shadowed, maximal = shadow_quadtree_walk(
+        quadtree_nodes(pts, already_normalized=True), bad, gamma)
     assert res.members.dtype == np.int64
     assert res.members.tolist() == members
     assert res.shadowed_nodes == shadowed
@@ -96,7 +97,7 @@ def test_greedy_on_the_quadtree_matches_per_candidate_loop(pts, gamma, data):
     g = WeightedGraph.from_pairs(n, [], [], positions=pts,
                                  meta={"kind": "bounded_spread", "gamma": str(gamma),
                                        "norm_margin": 0.125})
-    tree = build_quadtree(normalize_unit(pts)[0], already_normalized=True)
+    tree = quadtree_nodes(normalize_unit(pts)[0], already_normalized=True)
     got = generate_attack(AttackSpec("greedy-shadow", k), g).tolist()
     assert got == greedy_shadow_bruteforce(
         lambda b: len(shadow_quadtree_walk(tree, b, gamma)[0]), n, k)

@@ -4,17 +4,19 @@ out of it."""
 
 import relspan
 import relspan.harness
+import relspan.quadtree
 import relspan.spanner1d
 import relspan.spanner_euclidean
 
-# test-only helpers (they live in tests/) and routines the certification
-# context replaced
+# test-only helpers (they live in tests/), routines the certification
+# context replaced and the object form of the quadtree
 REMOVED = {
     relspan: ["BlockTree", "CanonicalWalk", "canonical_walk"],
     relspan.spanner1d: ["BlockTree", "CanonicalWalk", "canonical_walk", "coverage_totals"],
     relspan.spanner_euclidean: ["hd_rank_permutations"],
     relspan.harness: ["_greedy_objective", "_bplus_1d", "_bplus_quadtree", "_bplus_hd",
                       "_certify_connectivity"],
+    relspan.quadtree: ["QuadNode", "TreeArrays"],
 }
 
 

@@ -2,21 +2,27 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from relspan.quadtree import (build_quadtree, build_wspd, normalize_unit, sibling_pairs,
                               wspd_point_pair_counts)
 from relspan.streams import substream
 
-from oracles import cell_distance, wspd_point_pair_counts_loop, wspd_recursive
+from oracles import cell_distance, quadtree_nodes, wspd_point_pair_counts_loop, wspd_recursive
 
 
 def _points(seed, n, d=2):
     return substream(seed, "qt").random((n, d)) * 0.75 + 0.125
 
 
+def _span(ptr, values, i) -> list[int]:
+    return values[ptr[i]:ptr[i + 1]].tolist()
+
+
 def _certificate_ok(tree, u, v, s) -> bool:
-    a, b = tree.nodes[u], tree.nodes[v]
-    return s * max(a.diameter(), b.diameter()) <= cell_distance(a, b)
+    dist = cell_distance(tree.cell_min[u], tree.cell_size[u], tree.cell_min[v], tree.cell_size[v])
+    return s * max(tree.diameter[u], tree.diameter[v]) <= dist
 
 
 def test_normalize_margin_and_scale():
@@ -34,14 +40,15 @@ def test_leaves_are_singletons_and_partition():
     pts = _points(1, 80)
     tree = build_quadtree(pts, already_normalized=True)
     leaf_ids = []
-    for node in tree.nodes:
-        if node.is_leaf:
-            assert len(node.point_ids) == 1
-            leaf_ids.append(int(node.point_ids[0]))
+    for node in range(tree.pad):
+        ids = _span(tree.point_ptr, tree.point_ids, node)
+        kids = _span(tree.child_ptr, tree.children, node)
+        if not kids:
+            assert len(ids) == 1
+            leaf_ids += ids
         else:
-            union = np.sort(np.concatenate(
-                [tree.nodes[c].point_ids for c in node.children]))
-            assert union.tolist() == np.sort(node.point_ids).tolist()
+            union = sorted(pid for c in kids for pid in _span(tree.point_ptr, tree.point_ids, c))
+            assert union == sorted(ids)
     assert sorted(leaf_ids) == list(range(80))
 
 
@@ -51,14 +58,14 @@ def test_compression_keeps_node_count_linear():
     a = rng.random((20, 2)) * 1e-6 + 0.2
     b = rng.random((20, 2)) * 1e-6 + 0.7
     tree = build_quadtree(np.vstack([a, b]), already_normalized=True)
-    assert len(tree.nodes) <= 4 * 40
+    assert tree.pad <= 4 * 40
 
 
 def test_cell_distance():
     pts = np.array([[0.13, 0.13], [0.85, 0.85]])
     tree = build_quadtree(pts, already_normalized=True)
-    kids = tree.nodes[tree.root].children
-    d = cell_distance(tree.nodes[kids[0]], tree.nodes[kids[1]])
+    a, b = _span(tree.child_ptr, tree.children, 0)
+    d = cell_distance(tree.cell_min[a], tree.cell_size[a], tree.cell_min[b], tree.cell_size[b])
     assert d >= 0.0
 
 
@@ -83,8 +90,8 @@ def test_wspd_covers_every_pair_exactly_once(seed, n, s):
     pairs = build_wspd(tree, s)
     cover = {frozenset(pq): 0 for pq in itertools.combinations(range(n), 2)}
     for u, v in zip(pairs.u.tolist(), pairs.v.tolist()):
-        for a in tree.nodes[u].point_ids.tolist():
-            for b in tree.nodes[v].point_ids.tolist():
+        for a in _span(tree.point_ptr, tree.point_ids, u):
+            for b in _span(tree.point_ptr, tree.point_ids, v):
                 cover[frozenset((a, b))] += 1
     assert all(c == 1 for c in cover.values())
 
@@ -114,32 +121,74 @@ def test_wspd_matches_recursive_oracle(d, n, s):
     pts = _points(40 + d, n, d)
     pts[1::7] = pts[::7][:len(pts[1::7])] + 1e-7
     tree = build_quadtree(pts, already_normalized=True)
+    nodes = quadtree_nodes(pts, already_normalized=True)
     pairs = build_wspd(tree, s)
-    want = wspd_recursive(tree, s)
+    want = wspd_recursive(nodes, s)
     assert len(pairs) == len(want)
     assert pairs.u.tolist() == [u for u, _, _ in want]
     assert pairs.v.tolist() == [v for _, v, _ in want]
     # exact, inf included: the same float operations in the same order
     assert pairs.separation.tolist() == [sep for _, _, sep in want]
-    assert wspd_point_pair_counts(tree, pairs).tolist() == wspd_point_pair_counts_loop(tree, want)
+    assert wspd_point_pair_counts(tree, pairs).tolist() == wspd_point_pair_counts_loop(nodes, want)
 
 
 def test_sibling_pairs_in_node_order():
-    tree = build_quadtree(_points(9, 50, 3), already_normalized=True)
-    want = [(node.id, a, b, node.children[a], node.children[b]) for node in tree.nodes
+    pts = _points(9, 50, 3)
+    tree = build_quadtree(pts, already_normalized=True)
+    want = [(node.id, a, b, node.children[a], node.children[b])
+            for node in quadtree_nodes(pts, already_normalized=True).nodes
             for a in range(len(node.children)) for b in range(a + 1, len(node.children))]
     got = list(zip(*(arr.tolist() for arr in sibling_pairs(tree))))
     assert got == want
 
 
-def test_tree_arrays_are_built_once_on_demand():
-    tree = build_quadtree(_points(10, 30), already_normalized=True)
-    assert "arrays" not in vars(tree)
-    arrays = tree.arrays
-    assert tree.arrays is arrays
-    for node in tree.nodes:
-        lo, hi = arrays.point_ptr[node.id], arrays.point_ptr[node.id + 1]
-        assert arrays.point_ids[lo:hi].tolist() == node.point_ids.tolist()
-        lo, hi = arrays.child_ptr[node.id], arrays.child_ptr[node.id + 1]
-        assert arrays.children[lo:hi].tolist() == node.children
-        assert arrays.diameter[node.id] == node.diameter()
+@st.composite
+def quadtree_points(draw):
+    """Points in [1/8, 7/8)^d: uniform, with near-duplicate pairs 1e-7 apart,
+    or two tight clusters far apart (long compressed chains)."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["uniform", "near-duplicates", "clusters"]))
+    if shape == "clusters":
+        centers = np.where(np.arange(n)[:, None] < n // 2, 0.2, 0.7)
+        return centers + rng.random((n, d)) * 1e-6
+    pts = rng.random((n, d)) * 0.75 + 0.125
+    if shape == "near-duplicates":
+        half = n // 2
+        pts[half:2 * half] = pts[:half] + 1e-7
+    return pts
+
+
+@given(quadtree_points())
+def test_build_matches_node_oracle(pts):
+    tree = build_quadtree(pts, already_normalized=True)
+    want = quadtree_nodes(pts, already_normalized=True)
+    m = len(want.nodes)
+    assert tree.pad == m and tree.n_points == len(pts)
+    # node ids and cell floats bit for bit
+    assert tree.cell_min.tobytes() == np.array([nd.cell_min for nd in want.nodes]).tobytes()
+    assert tree.cell_size.tobytes() == np.array([nd.cell_size for nd in want.nodes]).tobytes()
+    assert tree.diameter.tolist() == [nd.diameter() for nd in want.nodes]
+    assert tree.size.tolist() == [len(nd.point_ids) for nd in want.nodes] + [0]
+    for nd in want.nodes:
+        assert _span(tree.child_ptr, tree.children, nd.id) == nd.children
+        ids = _span(tree.point_ptr, tree.point_ids, nd.id)
+        assert ids == nd.point_ids.tolist() == sorted(ids)
+    assert tree.postorder.tolist() == want.postorder()
+    # each point's cells from the root down to its leaf, padded with m
+    leaf_of = {int(nd.point_ids[0]): nd for nd in want.nodes if nd.is_leaf}
+    height = tree.paths.shape[1]
+    for pid, row in enumerate(tree.paths.tolist()):
+        path = [leaf_of[pid].id]
+        while want.nodes[path[-1]].parent is not None:
+            path.append(want.nodes[path[-1]].parent)
+        assert row == path[::-1] + [m] * (height - len(path))
+    assert height == max(int((row < m).sum()) for row in tree.paths)
+
+
+def test_depth_error_in_both_builders():
+    pts = np.array([[1e-30], [2e-30]])
+    for build in (build_quadtree, quadtree_nodes):
+        with pytest.raises(ValueError, match="quadtree depth exceeded"):
+            build(pts, already_normalized=True)

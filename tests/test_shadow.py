@@ -164,7 +164,7 @@ def test_quadtree_shadow_contains_b_and_maximal_union():
     # union over all shadowed nodes equals union over maximal ones
     all_union = set()
     for idx in res.shadowed_nodes:
-        all_union |= set(tree.nodes[idx].point_ids.tolist())
+        all_union |= set(tree.point_ids[tree.point_ptr[idx]:tree.point_ptr[idx + 1]].tolist())
     assert all_union == members
 
 

@@ -57,6 +57,14 @@ def test_bounded_spread_needs_two_points(pts):
         build_bounded_spread_spanner(pts, 0.5, "1/4")
 
 
+@pytest.mark.parametrize("build", [build_bounded_spread_spanner, build_hd_spanner])
+def test_builders_reject_duplicate_points(build):
+    pts = substream(23, "dup").random((20, 2))
+    pts[13] = pts[4]
+    with pytest.raises(ValueError, match="^point set contains duplicate points$"):
+        build(pts, 0.5, "1/4")
+
+
 def test_bounded_spread_parameter_validation():
     pts = jittered_grid(4, 4)
     with pytest.raises(ValueError):
@@ -389,15 +397,15 @@ def test_climb_up_reach_fraction():
         dist = shortest_path_matrix(g, bad, alive)
         row_of = {v: i for i, v in enumerate(alive)}
         bad_set = set(bad.tolist())
-        for node in tree.nodes:
-            ids = node.point_ids
+        for node in range(tree.pad):
+            ids = tree.point_ids[tree.point_ptr[node]:tree.point_ptr[node + 1]]
             if len(ids) < 2:
                 continue
-            reach_limit = 2.0 * node.diameter() / scale  # original units
+            reach_limit = 2.0 * tree.diameter[node] / scale  # original units
             for p in ids.tolist():
                 if p in bad_set or p in shadowed:
                     continue
                 reachable = sum(
                     1 for q in ids.tolist()
                     if q not in bad_set and dist[row_of[p]][q] <= reach_limit + 1e-9)
-                assert reachable >= 3 * xi * len(ids), (trial, node.id, p)
+                assert reachable >= 3 * xi * len(ids), (trial, node, p)
