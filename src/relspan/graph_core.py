@@ -33,6 +33,7 @@ from scipy.spatial import cKDTree
 REL_TOL = 1e-9  # relative tolerance for path-length comparisons
 SAVE_CHUNK = 1 << 18  # edges formatted and written at a time by save_edges
 MAX_N = math.isqrt(2 ** 63 - 1)  # from_pairs keys an edge lo * n + hi < n^2 in int64
+_DIJKSTRA_BLOCK = 256  # Dijkstra sources per block; bounds a block's rows to 256 x n
 
 
 # ---------------------------------------------------------------------------
@@ -381,6 +382,35 @@ def shortest_path_matrix(g: WeightedGraph, B, sources) -> np.ndarray:
     if dead.size:
         dist[:, dead] = np.inf
     return np.atleast_2d(dist)
+
+
+def shortest_path_pairs(g: WeightedGraph, B, s, t) -> np.ndarray:
+    """dist(s[i], t[i]) in the alive subgraph for every pair i (+inf when
+    t[i] is unreachable).
+
+    The alive subgraph is built once.  Dijkstra runs from the distinct
+    sources in ascending order, 256 at a time, and only the pairs' targets
+    are read from each block of rows.
+    """
+    dead = clean_vertex_set(B, g.n)
+    s, t = vertex_ids(s, g.n), vertex_ids(t, g.n)
+    out = np.empty(s.size, dtype=np.float64)
+    if not s.size:
+        return out
+    if np.isin(s, dead).any():
+        raise ValueError("source in failure set")
+    order = np.argsort(s, kind="stable")
+    by_source = s[order]
+    first = np.flatnonzero(np.r_[True, by_source[1:] != by_source[:-1]])
+    sources, ends = by_source[first], np.r_[first, s.size]
+    alive = _alive_csr(g, dead)
+    for start in range(0, sources.size, _DIJKSTRA_BLOCK):
+        block = sources[start:start + _DIJKSTRA_BLOCK]
+        dist = _csgraph_dijkstra(alive, directed=False, indices=block)
+        rows = np.repeat(np.arange(block.size), np.diff(ends[start:start + block.size + 1]))
+        pairs = order[ends[start]:ends[start + block.size]]
+        out[pairs] = dist[rows, t[pairs]]
+    return out
 
 
 # ---------------------------------------------------------------------------

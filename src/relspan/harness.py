@@ -7,8 +7,10 @@ outside the largest surviving component); only B changes from call to call.
 So the context dispatches on the kind once, to that rule, the greedy-shadow
 objective and the pair audit (monotone 1-path coverage on the line,
 Dijkstra stretch in Euclidean graphs), and builds what depends only on the
-graph (normalized positions, quadtree, hd_config, rank permutations) on
-first use, so a call that needs none of it builds none of it.  certify()
+graph (normalized positions, quadtree, hd_config, rank permutations, edge
+keys) on first use, so a call that needs none of it builds none of it.
+Euclidean edges weigh their length, so the stretch audit counts a pair
+joined by an edge at stretch 1 and runs Dijkstra only for the rest.  certify()
 and generate_attack() wrap a fresh context; loss_curve() uses one for all
 its trials.  The minimal harmed set is NP-hard flavored, so a greedy
 vertex-cover estimate of the observed loss is reported alongside the
@@ -25,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .graph_core import (WeightedGraph, clean_vertex_set, largest_component,
-                         shortest_path_matrix)
+                         shortest_path_pairs)
 from .lso import build_ordering_family, sort_by_ordering
 from .quadtree import Quadtree, build_quadtree, normalize_unit
 from .shadow import (as_fraction, shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
@@ -36,6 +38,7 @@ from .streams import substream
 
 STRETCH_SLACK = 1.0 + 1e-9  # a pair fails only beyond (1+eps)*dist*(1+1e-9)
 FAILING_KEPT = 64  # failing pairs kept for the sample and the greedy cover
+SOURCE_BLOCK = 256  # sampled failing pairs come in blocks of this many distinct sources
 REPORTED_META = ("kind", "n", "xi", "theta", "epsilon", "mode", "regime", "variant", "M",
                  "theta_prime", "seed", "cert_alpha", "gamma", "experimental")
 
@@ -150,6 +153,19 @@ class Certifier:
         return [sort_by_ordering(o, self.normed) for o in family.orderings]
 
     @cached_property
+    def edge_keys(self) -> np.ndarray:
+        """The edges' keys u * n + v, ascending: the edge arrays are canonical."""
+        return self.g.u * np.int64(self.g.n) + self.g.v
+
+    def _joined(self, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Whether an edge joins s[i] and t[i], for every pair i."""
+        keys = np.minimum(s, t) * np.int64(self.g.n) + np.maximum(s, t)
+        at = np.searchsorted(self.edge_keys, keys)
+        hit = at < self.edge_keys.size
+        hit[hit] = self.edge_keys[at[hit]] == keys[hit]
+        return hit
+
+    @cached_property
     def _alpha(self) -> Fraction | None:
         """The certified 1D shadow threshold; None when the build has none."""
         alpha = self.g.meta.get("cert_alpha")
@@ -190,14 +206,13 @@ class Certifier:
             return bad.copy(), notes
         current = bad.copy()
         for _ in range(self.config["rounds"]):
-            union = set(current.tolist())
+            failed = np.zeros(n, dtype=bool)
+            failed[current] = True
+            union = failed.copy()
             for perm in self.rank_permutations:
-                rank_of = np.empty(n, dtype=np.int64)
-                rank_of[perm] = np.arange(n)
-                ranks_bad = np.sort(rank_of[current])
-                members = shadow_1d(n, ranks_bad, alpha).members
-                union.update(perm[members].tolist())
-            nxt = np.asarray(sorted(union), dtype=np.int64)
+                # failed[perm] marks the failed ranks, so they come sorted
+                union[perm[shadow_1d(n, np.flatnonzero(failed[perm]), alpha).members]] = True
+            nxt = np.flatnonzero(union)
             if nxt.size == current.size:
                 break
             current = nxt
@@ -236,9 +251,12 @@ class Certifier:
         """Stretch audit over good pairs; all pairs when n is small, otherwise
         a uniform sample of pair_budget pairs with the sampling seed recorded.
 
-        Dijkstra runs from at most 256 sources at a time, in ascending source
-        order, so failing pairs come row-major over all pairs and chunk by
-        chunk, in draw order within a chunk, over sampled ones."""
+        Every edge weighs its Euclidean length, so a pair joined by an edge
+        has stretch exactly 1 and cannot fail: it counts as checked, at
+        stretch 1.0.  Dijkstra runs only from sources with a target they are
+        not joined to, and only those pairs are read.  Failing pairs come
+        row-major over all pairs; over sampled ones they come in blocks of
+        256 distinct sources (ascending), in draw order within a block."""
         g = self.g
         if good.size < 2:
             return [], 0, 0, {"mode": "all"}, None, None
@@ -254,24 +272,21 @@ class Certifier:
             keep = srcs != tgts
             srcs, tgts = srcs[keep], tgts[keep]
         s, t = good[srcs], good[tgts]
-        limit = (1.0 + g.meta["epsilon"]) * STRETCH_SLACK
-        pos = g.positions
-        sources = np.unique(s)
-        failures: list[tuple[int, int]] = []
-        failing, max_stretch = 0, 0.0
-        for start in range(0, sources.size, 256):
-            chunk = sources[start:start + 256]
-            dist = shortest_path_matrix(g, bad, chunk)
-            sel = np.isin(s, chunk)
-            cs, ct = s[sel], t[sel]
-            euc = np.sqrt(((pos[cs] - pos[ct]) ** 2).sum(axis=1))
-            ratio = dist[np.searchsorted(chunk, cs), ct] / euc
-            max_stretch = max(max_stretch, float(ratio.max()))
-            over = np.flatnonzero(ratio > limit)
-            failing += int(over.size)
-            kept = over[:FAILING_KEPT - len(failures)]
-            failures += zip(cs[kept].tolist(), ct[kept].tolist())
-        return failures, failing, int(s.size), sampling, max_stretch, None
+        ratio = np.ones(s.size)
+        far = np.flatnonzero(~self._joined(s, t))
+        if far.size:
+            fs, ft = s[far], t[far]
+            euc = np.sqrt(((g.positions[fs] - g.positions[ft]) ** 2).sum(axis=1))
+            ratio[far] = shortest_path_pairs(g, bad, fs, ft) / euc
+        over = np.flatnonzero(ratio > (1.0 + g.meta["epsilon"]) * STRETCH_SLACK)
+        if over.size:
+            block = np.searchsorted(np.unique(s), s[over]) // SOURCE_BLOCK
+            kept = over[np.argsort(block, kind="stable")[:FAILING_KEPT]]
+        else:
+            kept = over
+        failures = list(zip(s[kept].tolist(), t[kept].tolist()))
+        max_stretch = float(ratio.max()) if s.size else 0.0
+        return failures, int(over.size), int(s.size), sampling, max_stretch, None
 
     def _no_audit(self, bad, good, pair_budget, seed) -> tuple:
         return [], 0, 0, {"mode": "components"}, None, None

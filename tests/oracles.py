@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from relspan.graph_core import PointSet
+from relspan.graph_core import PointSet, shortest_path_matrix
+from relspan.harness import FAILING_KEPT, STRETCH_SLACK
 from relspan.lso import family_shape
 from relspan.quadtree import MAX_DEPTH, normalize_unit
 from relspan.streams import substream
@@ -689,3 +690,42 @@ def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0
     }
     u, v = np.nonzero(mat)
     return n, u.tolist(), v.tolist(), meta
+
+
+def stretch_audit_full(g, bad, good, pair_budget, seed) -> tuple:
+    """The stretch audit as it ran before it skipped pairs joined by an edge:
+    Dijkstra from every good source, whole rows, every pair read.  Returns
+    (first failing pairs, failing count, pairs checked, sampling, max
+    stretch, max hops) like Certifier._stretch_audit."""
+    if good.size < 2:
+        return [], 0, 0, {"mode": "all"}, None, None
+    total_pairs = good.size * (good.size - 1) // 2
+    if g.n <= 2048 and total_pairs <= pair_budget:
+        sampling = {"mode": "all", "pairs": int(total_pairs)}
+        srcs, tgts = np.triu_indices(good.size, 1)
+    else:
+        rng = substream(seed, "stretch-sample")
+        sampling = {"mode": "sampled", "pairs": int(pair_budget), "seed": seed}
+        srcs = rng.integers(0, good.size, size=pair_budget)
+        tgts = rng.integers(0, good.size, size=pair_budget)
+        keep = srcs != tgts
+        srcs, tgts = srcs[keep], tgts[keep]
+    s, t = good[srcs], good[tgts]
+    limit = (1.0 + g.meta["epsilon"]) * STRETCH_SLACK
+    pos = g.positions
+    sources = np.unique(s)
+    failures: list[tuple[int, int]] = []
+    failing, max_stretch = 0, 0.0
+    for start in range(0, sources.size, 256):
+        chunk = sources[start:start + 256]
+        dist = shortest_path_matrix(g, bad, chunk)
+        sel = np.isin(s, chunk)
+        cs, ct = s[sel], t[sel]
+        euc = np.sqrt(((pos[cs] - pos[ct]) ** 2).sum(axis=1))
+        ratio = dist[np.searchsorted(chunk, cs), ct] / euc
+        max_stretch = max(max_stretch, float(ratio.max()))
+        over = np.flatnonzero(ratio > limit)
+        failing += int(over.size)
+        kept = over[:FAILING_KEPT - len(failures)]
+        failures += zip(cs[kept].tolist(), ct[kept].tolist())
+    return failures, failing, int(s.size), sampling, max_stretch, None

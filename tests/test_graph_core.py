@@ -5,7 +5,7 @@ import pytest
 
 from relspan.graph_core import (PointSet, WeightedGraph, load_edge_list,
                                 load_points, monotone_reach_1d, shortest_path_length,
-                                shortest_path_matrix)
+                                shortest_path_matrix, shortest_path_pairs)
 from relspan.streams import substream
 
 from helpers import edge_set
@@ -59,6 +59,22 @@ def test_matches_floyd_warshall_oracle():
                     assert math.isinf(got[row][t])
                 else:
                     assert got[row][t] == pytest.approx(expect[src][t], rel=1e-9)
+
+
+def test_pair_distances_match_the_matrix():
+    # 290 distinct sources span two blocks; pairs repeat and come unsorted
+    g = random_graph(300, 900, seed=6)
+    bad = [4, 100, 299]
+    alive = np.setdiff1d(np.arange(300), bad)
+    rng = substream(7, "pairs")
+    s, t = rng.choice(alive, size=2000), rng.integers(0, 300, size=2000)
+    s[:300] = np.repeat(alive[:10], 30)
+    full = shortest_path_matrix(g, bad, alive)
+    assert np.array_equal(shortest_path_pairs(g, bad, s, t),
+                          full[np.searchsorted(alive, s), t])
+    assert shortest_path_pairs(g, bad, [], []).size == 0
+    with pytest.raises(ValueError, match="source in failure set"):
+        shortest_path_pairs(g, bad, [1, 100], [2, 3])
 
 
 def test_distance_symmetry():

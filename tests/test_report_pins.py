@@ -3,8 +3,9 @@
 Each pin is the sha256 of a report's canonical JSON (as_dict() without
 runtime_s, keys sorted) or of an attack's id list.  The cases are the
 benchmark's line, plane and space graphs at seed 1 under their attacks, the
-block-tree graph of test_harness, a reliable-connectivity graph and an
-ordering-union graph large enough for the per-ordering shadows to grow.
+block-tree graph of test_harness, a reliable-connectivity graph, an
+ordering-union graph large enough for the per-ordering shadows to grow and
+a bounded-spread graph that misses some edges, so its audit runs Dijkstra.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from relspan.quadtree import normalize_unit
 from relspan.spanner1d import build_G_theta, build_H
 from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
                                        build_hd_spanner, hd_config)
+
+from test_acceptance import jittered_grid
 
 
 def derive(seed: int, label: str) -> int:
@@ -146,6 +149,18 @@ CONNECTIVITY_PINS = [
     ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
      "1438c985f5bb96a439905804b48732ac27a9e6c4f0830ec455925c0bf6bdd960"),
 ]
+SPARSE_BS_PINS = [
+    ("dbb99386b1dee0ca807597589b61a2032b0cdbdcce2bbb1fb0cda53a46b9a9d5",
+     "c87b13f8fbd8f93e98f9eb837dfb01e15f9fb7060ecafc3871b9e417733e2a4a"),
+    ("4f2a8c37fa1efcc177f534d12bd2b6751d70d629b027ea71d248c0e7160e36e6",
+     "ec326b34c38452cbab218921c67ffebc944afe563a67cfc603d4af95990be4ea"),
+    ("c175ad272cd52266faeedf097a687129bf1e1be1fe697a5879c30ca0efe636da",
+     "2cf8f4e139044fe2daac27ce6a2b9bf6d4b458d0c50e14a1260b63fae97a5f17"),
+    ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+     "8afaeb20ad764a219276149a55457650e20270796a53b17378ace76b7630da08"),
+    ("7ff3f9d049c06b273c1684dc14d8271fb7f65eb9f167c2e85a9bac7c45b57574",
+     "072ec97e5b055ab63bb955266b945365001aae29578a57b6e03fee37c02538ac"),
+]
 WIDE_HD_PINS = [
     "3a6d51bfb54df8b8b24348004b53eebfaa970f104441c66f8a45ead1c4d0e159",
     "0469fae3a0049967c981747314404688d45f7c77976b063ed887af8aa0fb463d",
@@ -190,12 +205,30 @@ def wide_hd_pins() -> list[str]:
             for bad in (gap, lone_survivor)]
 
 
+def sparse_bs_pins() -> list[tuple[str, str]]:
+    """Acceptance criterion 6's grid at degree constant 1: 462 of its
+    130,816 point pairs are not edges."""
+    g = build_bounded_spread_spanner(jittered_grid(16, 32, seed=601), 0.5, Fraction(1, 4),
+                                     seed=602, degree_constant_override=1)
+    assert g.n * (g.n - 1) // 2 - g.edge_count == 462
+    specs = [AttackSpec("random", 32, seed=6000), AttackSpec("ball", 32, seed=6001),
+             AttackSpec("interval", 64, seed=6002)]
+    pins = [attack_and_certify(g, spec) for spec in specs]
+    sampled = [5, 77, 300]
+    return pins + [(sha([]), report_sha(certify(g, []))),
+                   (sha(sampled), report_sha(certify(g, sampled, pair_budget=20000, seed=9)))]
+
+
 def test_h_graph_reports_pinned():
     assert h_graph_pins() == H_PINS
 
 
 def test_connectivity_reports_pinned():
     assert connectivity_pins() == CONNECTIVITY_PINS
+
+
+def test_sparse_bounded_spread_reports_pinned():
+    assert sparse_bs_pins() == SPARSE_BS_PINS
 
 
 def test_growing_ordering_shadow_reports_pinned():
