@@ -57,8 +57,14 @@ def vertex_ids(ids, n: int) -> np.ndarray:
 
 
 def clean_vertex_set(ids, n: int) -> np.ndarray:
-    """Sorted, deduplicated int64 array of vertex ids, validated against n."""
-    arr = np.sort(vertex_ids(ids, n))
+    """Sorted, deduplicated int64 array of vertex ids, validated against n.
+
+    Strictly increasing ids are neither sorted again nor copied: an int64
+    array comes back as a view of itself."""
+    arr = vertex_ids(ids, n)
+    if (arr[1:] > arr[:-1]).all():
+        return arr
+    arr = np.sort(arr)
     first = np.ones(arr.size, dtype=bool)
     first[1:] = arr[1:] != arr[:-1]
     return arr[first]
@@ -175,7 +181,8 @@ class WeightedGraph:
 
         Orients each pair as u < v, drops self-loops, sorts by (u, v), drops
         duplicates and weights each edge by the metric: |u - v| on the line,
-        Euclidean distance with positions, 1 otherwise.
+        Euclidean distance with positions, 1 otherwise.  Pairs that are
+        already sorted and unique skip the sort.
         """
         if n > MAX_N:
             raise ValueError(f"n = {n} exceeds {MAX_N}, past which edge keys overflow int64")
@@ -187,11 +194,15 @@ class WeightedGraph:
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         keep = lo != hi
-        packed = np.sort(lo[keep] * np.int64(n) + hi[keep])
-        first = np.ones(packed.size, dtype=bool)
-        first[1:] = packed[1:] != packed[:-1]
-        packed = packed[first]
-        lo, hi = packed // n, packed % n
+        if not keep.all():
+            lo, hi = lo[keep], hi[keep]
+        packed = lo * np.int64(n) + hi
+        if not (packed[1:] > packed[:-1]).all():  # canonical input skips the sort
+            packed.sort()
+            first = np.ones(packed.size, dtype=bool)
+            first[1:] = packed[1:] != packed[:-1]
+            packed = packed[first]
+            lo, hi = packed // n, packed % n
         if line:
             if positions is not None:
                 raise ValueError("line graphs carry implicit positions")
@@ -418,6 +429,7 @@ def shortest_path_pairs(g: WeightedGraph, B, s, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _SOURCE_BLOCK = 1024  # sources per block; bounds the per-block arrays to 1024 x n
+_SLAB = 128  # mid vertices per slab of a hop product
 
 
 def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
@@ -431,53 +443,71 @@ def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
     and may itself be failed.  Monotone paths on the line telescope, so every
     reached vertex t is at exact distance |t - source|.
 
-    The step matrix A (A[a, b]: edge ab steps from a to alive b) is built
-    once per call.  Hop 1 is the gather A[sources]; each later hop is a
-    float32 matrix product restricted to the rows whose frontier is
-    non-empty and the columns some row has yet to reach beyond its source.
+    The bool step matrix A (A[a, b]: edge ab steps from a to alive b) is
+    built once per call.  Each block's sources are sorted once (stably;
+    sorted input is used as it is) and the rows are put back in input order
+    before the block is yielded.  Hop 1 is the gather A[sources]; each later
+    hop is a float32 product of the frontier with A over slabs of 128 mid
+    vertices [k0, k1).  A right step s -> m -> t needs s < m < t, so a slab
+    multiplies only the rows with source < k1 - 1, a prefix of the sorted
+    rows, by the columns > k0 (left: the suffix of sources > k0 by the
+    columns < k1 - 1): the monotone triangle, about a sixth of the full
+    product, with every operand a plain slice.  A slab turns float32 only
+    while it is used, and sums of 0/1 values stay exact below 2^24.
     """
     if direction not in ("left", "right"):
         raise ValueError("direction must be 'left' or 'right'")
+    right = direction == "right"
     n = g.n
     sources = vertex_ids(sources, n)
     dead = clean_vertex_set(B, n)
     alive = np.ones(n, dtype=bool)
     alive[dead] = False
     A = np.zeros((n, n), dtype=bool)
-    tail, head = (g.u, g.v) if direction == "right" else (g.v, g.u)
+    tail, head = (g.u, g.v) if right else (g.v, g.u)
     A[tail, head] = True
     A[:, dead] = False
     ids = np.arange(n)
     for first in range(0, sources.size, _SOURCE_BLOCK):
         src = sources[first:first + _SOURCE_BLOCK]
-        rows = np.arange(src.size)
+        order = None if (src[1:] >= src[:-1]).all() else np.argsort(src, kind="stable")
+        if order is not None:
+            src = src[order]
         dist = np.full((src.size, n), -1, dtype=np.int32)
-        dist[rows, src] = 0
+        dist[np.arange(src.size), src] = 0
+        pending = (ids > src[:, None]) if right else (ids < src[:, None])
+        pending &= alive
         front = A[src]
+        step = np.empty((src.size, n), dtype=np.float32)
         hop = 1
-        while hop_cap is None or hop <= hop_cap:
-            live = front.any(axis=1)
-            rows, front = rows[live], front[live]
-            if not rows.size:
-                break
-            reach = dist[rows]
-            np.putmask(reach, front, hop)
-            dist[rows] = reach
+        while (hop_cap is None or hop <= hop_cap) and front.any():
+            # front lies inside pending, where dist is still -1: adding
+            # hop + 1 sets hop there (without putmask's branch per entry),
+            # and xor takes front out of pending
+            dist += front * np.int32(hop + 1)
             if hop == hop_cap:
                 break
-            beyond = ids > src[rows, None] if direction == "right" else ids < src[rows, None]
-            pending = (reach < 0) & alive & beyond
-            tgt = np.flatnonzero(pending.any(axis=0))
-            if not tgt.size:
+            pending ^= front
+            if not pending.any():
                 break
-            mid = np.flatnonzero(front.any(axis=0))
-            step = np.zeros((rows.size, tgt.size), dtype=np.float32)
-            for k in range(0, mid.size, _SOURCE_BLOCK):
-                part = mid[k:k + _SOURCE_BLOCK]
-                step += front[:, part].astype(np.float32) @ A[part][:, tgt].astype(np.float32)
-            front = np.zeros_like(pending)
-            front[:, tgt] = (step > 0) & pending[:, tgt]
+            step[...] = 0
+            for k0 in range(0, n, _SLAB):
+                k1 = min(n, k0 + _SLAB)
+                if right:
+                    r0, r1 = 0, int(np.searchsorted(src, k1 - 1))
+                    c0, c1 = k0 + 1, n
+                else:
+                    r0, r1 = int(np.searchsorted(src, k0, side="right")), src.size
+                    c0, c1 = 0, k1 - 1
+                part = front[r0:r1, k0:k1]
+                if not part.any():
+                    continue
+                step[r0:r1, c0:c1] += part.astype(np.float32) @ A[k0:k1, c0:c1].astype(np.float32)
+            np.greater(step, 0, out=front)
+            front &= pending
             hop += 1
+        if order is not None:
+            dist[order] = dist.copy()
         yield first, dist
 
 

@@ -109,8 +109,9 @@ def shadow_1d(n: int, B, alpha, side: str = "both", witness: bool = False) -> Sh
         members_by_side["left"], wit = _left_shadow(n, bad, p, q, witness)
         witnesses.update(wit)
     if side in ("right", "both"):
-        mem, wit = _left_shadow(n, np.sort(n - 1 - bad), p, q, witness)
-        members_by_side["right"] = np.sort(n - 1 - mem)
+        # mirroring reverses the order of sorted ids
+        mem, wit = _left_shadow(n, (n - 1 - bad)[::-1], p, q, witness)
+        members_by_side["right"] = (n - 1 - mem)[::-1]
         for i, (lo, hi) in wit.items():
             witnesses[n - 1 - i] = (n - 1 - hi, n - 1 - lo)
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from relspan.graph_core import PointSet, shortest_path_matrix
+from relspan import graph_core
+from relspan.graph_core import PointSet, clean_vertex_set, shortest_path_matrix, vertex_ids
 from relspan.harness import FAILING_KEPT, STRETCH_SLACK
 from relspan.lso import family_shape
 from relspan.quadtree import MAX_DEPTH, normalize_unit
@@ -190,6 +191,58 @@ def monotone_layers_bruteforce(n: int, edges, source: int, bad=(),
         layers.append(nxt)
         seen |= nxt
     return layers
+
+
+def monotone_hops_dense(g, B, sources, direction: str = "right",
+                        hop_cap: int | None = None):
+    """graph_core.monotone_hops before the triangle kernel: every hop >= 2 is
+    the full float32 product of the frontier's rows and mid columns with
+    the step matrix's rows over the columns still pending, gathered by
+    fancy indexing.  Source blocks follow graph_core._SOURCE_BLOCK."""
+    if direction not in ("left", "right"):
+        raise ValueError("direction must be 'left' or 'right'")
+    block = graph_core._SOURCE_BLOCK
+    n = g.n
+    sources = vertex_ids(sources, n)
+    dead = clean_vertex_set(B, n)
+    alive = np.ones(n, dtype=bool)
+    alive[dead] = False
+    A = np.zeros((n, n), dtype=bool)
+    tail, head = (g.u, g.v) if direction == "right" else (g.v, g.u)
+    A[tail, head] = True
+    A[:, dead] = False
+    ids = np.arange(n)
+    for first in range(0, sources.size, block):
+        src = sources[first:first + block]
+        rows = np.arange(src.size)
+        dist = np.full((src.size, n), -1, dtype=np.int32)
+        dist[rows, src] = 0
+        front = A[src]
+        hop = 1
+        while hop_cap is None or hop <= hop_cap:
+            live = front.any(axis=1)
+            rows, front = rows[live], front[live]
+            if not rows.size:
+                break
+            reach = dist[rows]
+            np.putmask(reach, front, hop)
+            dist[rows] = reach
+            if hop == hop_cap:
+                break
+            beyond = ids > src[rows, None] if direction == "right" else ids < src[rows, None]
+            pending = (reach < 0) & alive & beyond
+            tgt = np.flatnonzero(pending.any(axis=0))
+            if not tgt.size:
+                break
+            mid = np.flatnonzero(front.any(axis=0))
+            step = np.zeros((rows.size, tgt.size), dtype=np.float32)
+            for k in range(0, mid.size, block):
+                part = mid[k:k + block]
+                step += front[:, part].astype(np.float32) @ A[part][:, tgt].astype(np.float32)
+            front = np.zeros_like(pending)
+            front[:, tgt] = (step > 0) & pending[:, tgt]
+            hop += 1
+        yield first, dist
 
 
 def one_path_coverage_bruteforce(n: int, edges, bad, good, hop_cap=None,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from relspan.graph_core import (PointSet, WeightedGraph, load_edge_list,
+from relspan.graph_core import (PointSet, WeightedGraph, clean_vertex_set, load_edge_list,
                                 load_points, monotone_reach_1d, shortest_path_length,
                                 shortest_path_matrix, shortest_path_pairs)
 from relspan.streams import substream
@@ -201,3 +201,31 @@ def test_load_points_rejects_ragged_rows(tmp_path):
         load_points(path)
     path.write_text("0.0 1.0\n2.0 3.0\n4.0 5.0\n", encoding="utf-8")
     assert load_points(path).coords.shape == (3, 2)
+
+
+@pytest.mark.parametrize("line", [True, False], ids=["line", "euclidean"])
+def test_from_pairs_gives_sorted_input_the_same_arrays(line):
+    n = 60
+    rng = np.random.default_rng(11)
+    u, v = np.triu_indices(n, k=1)
+    keep = rng.random(u.size) < 0.3
+    u, v = u[keep], v[keep]
+    pos = None if line else rng.random((n, 2))
+    want = WeightedGraph.from_pairs(n, u, v, positions=pos, line=line)
+    assert not np.shares_memory(want.u, u) and u.flags.writeable
+    perm = rng.permutation(u.size)
+    dup = rng.integers(0, u.size, size=u.size // 2)
+    for a, b in [(u[perm], v[perm]), (v, u), (u[::-1], v[::-1]),
+                 (np.r_[u, u[dup]], np.r_[v, v[dup]]), (np.r_[u, 7], np.r_[v, 7])]:
+        got = WeightedGraph.from_pairs(n, a, b, positions=pos, line=line)
+        for name in ("u", "v", "w"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_clean_vertex_set_sorts_only_unsorted_ids():
+    assert clean_vertex_set([5, 1, 5, 0], 6).tolist() == [0, 1, 5]
+    assert clean_vertex_set([0, 1, 1, 5], 6).tolist() == [0, 1, 5]
+    ids = np.array([0, 2, 5], dtype=np.int64)
+    assert np.shares_memory(clean_vertex_set(ids, 6), ids)
+    assert clean_vertex_set([], 6).size == 0
