@@ -22,13 +22,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
-from scipy.spatial import cKDTree
 
 REL_TOL = 1e-9  # relative tolerance for path-length comparisons
 SAVE_CHUNK = 1 << 18  # edges formatted and written at a time by save_edges
@@ -76,7 +76,7 @@ def clean_vertex_set(ids, n: int) -> np.ndarray:
 
 @dataclass
 class PointSet:
-    """Distinct points in R^d with cached diameter / closest-pair / spread."""
+    """Points in R^d with cached diameter / closest-pair / spread."""
 
     coords: np.ndarray  # (n, d) float64
 
@@ -84,8 +84,6 @@ class PointSet:
         coords = np.ascontiguousarray(np.atleast_2d(np.asarray(self.coords, dtype=np.float64)))
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
-        self._diameter = None
-        self._closest_pair = None
 
     @property
     def n(self) -> int:
@@ -95,27 +93,30 @@ class PointSet:
     def d(self) -> int:
         return self.coords.shape[1]
 
+    @cached_property
+    def _extremes(self) -> tuple[float, float]:
+        """(diameter, closest-pair distance): the largest and, off the
+        diagonal, the smallest squared distance of one exact pairwise pass,
+        chunked so memory stays bounded."""
+        far, near = 0.0, math.inf
+        for start in range(0, self.n, 1024):
+            block = self.coords[start:start + 1024]
+            d2 = ((block[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=2)
+            far = max(far, float(d2.max()))
+            rows = np.arange(block.shape[0])
+            d2[rows, start + rows] = np.inf
+            near = min(near, float(d2.min()))
+        return math.sqrt(far), math.sqrt(near)
+
     @property
     def diameter(self) -> float:
-        if self._diameter is None:
-            # exact pairwise max, chunked so memory stays bounded
-            worst = 0.0
-            for start in range(0, self.n, 1024):
-                block = self.coords[start:start + 1024]
-                d2 = ((block[:, None, :] - self.coords[None, :, :]) ** 2).sum(axis=2)
-                worst = max(worst, float(d2.max()))
-            self._diameter = math.sqrt(worst)
-        return self._diameter
+        return self._extremes[0]
 
     @property
     def closest_pair(self) -> float:
-        if self._closest_pair is None:
-            tree = cKDTree(self.coords)
-            dist, _ = tree.query(self.coords, k=2)
-            self._closest_pair = float(dist[:, 1].min())
-            if self._closest_pair <= 0.0:
-                raise ValueError("point set contains duplicate points")
-        return self._closest_pair
+        if self._extremes[1] <= 0.0:
+            raise ValueError("point set contains duplicate points")
+        return self._extremes[1]
 
     @property
     def spread(self) -> float:
@@ -213,6 +214,8 @@ class WeightedGraph:
             if pos.shape[0] != n:
                 raise ValueError("positions must cover all vertices")
             w = np.sqrt(((pos[lo] - pos[hi]) ** 2).sum(axis=1))
+            if lo.size and not np.isfinite(w.max()):  # a NaN weight makes the max NaN
+                raise ValueError("non-finite edge weight: non-finite positions?")
             if lo.size and float(w.min()) <= 0.0:
                 raise ValueError("zero-length edge: duplicate points?")
         else:
@@ -383,18 +386,6 @@ def shortest_path_length(g: WeightedGraph, B, source: int) -> np.ndarray:
     return dist
 
 
-def shortest_path_matrix(g: WeightedGraph, B, sources) -> np.ndarray:
-    """Row-per-source distance matrix on the alive subgraph."""
-    dead = clean_vertex_set(B, g.n)
-    sources = np.asarray(sources, dtype=np.int64)
-    if np.isin(sources, dead).any():
-        raise ValueError("source in failure set")
-    dist = _csgraph_dijkstra(_alive_csr(g, dead), directed=False, indices=sources)
-    if dead.size:
-        dist[:, dead] = np.inf
-    return np.atleast_2d(dist)
-
-
 def shortest_path_pairs(g: WeightedGraph, B, s, t) -> np.ndarray:
     """dist(s[i], t[i]) in the alive subgraph for every pair i (+inf when
     t[i] is unreachable).
@@ -432,40 +423,35 @@ _SOURCE_BLOCK = 1024  # sources per block; bounds the per-block arrays to 1024 x
 _SLAB = 128  # mid vertices per slab of a hop product
 
 
-def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
-                  hop_cap: int | None = None):
-    """Hop distances of monotone paths in g - B from each source, in blocks.
+def monotone_hops(g: WeightedGraph, B, sources, hop_cap: int | None = None):
+    """Hop distances of rightward monotone paths in g - B from each source,
+    in blocks.
 
     Yields (first, dist) for consecutive blocks of at most 1024 sources:
     dist[i, v] is the fewest hops of a path from sources[first + i] to v
-    whose every step moves in `direction` through alive vertices, or -1 when
-    there is none within hop_cap hops (None: no cap).  The source holds 0
-    and may itself be failed.  Monotone paths on the line telescope, so every
-    reached vertex t is at exact distance |t - source|.
+    whose every step moves right through alive vertices, or -1 when there is
+    none within hop_cap hops (None: no cap).  The source holds 0 and may
+    itself be failed.  Monotone paths on the line telescope, so every
+    reached vertex t is at exact distance t - source.
 
     The bool step matrix A (A[a, b]: edge ab steps from a to alive b) is
     built once per call.  Each block's sources are sorted once (stably;
     sorted input is used as it is) and the rows are put back in input order
     before the block is yielded.  Hop 1 is the gather A[sources]; each later
     hop is a float32 product of the frontier with A over slabs of 128 mid
-    vertices [k0, k1).  A right step s -> m -> t needs s < m < t, so a slab
+    vertices [k0, k1).  A step s -> m -> t needs s < m < t, so a slab
     multiplies only the rows with source < k1 - 1, a prefix of the sorted
-    rows, by the columns > k0 (left: the suffix of sources > k0 by the
-    columns < k1 - 1): the monotone triangle, about a sixth of the full
-    product, with every operand a plain slice.  A slab turns float32 only
-    while it is used, and sums of 0/1 values stay exact below 2^24.
+    rows, by the columns > k0: the monotone triangle, about a sixth of the
+    full product, with every operand a plain slice.  A slab turns float32
+    only while it is used, and sums of 0/1 values stay exact below 2^24.
     """
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
-    right = direction == "right"
     n = g.n
     sources = vertex_ids(sources, n)
     dead = clean_vertex_set(B, n)
     alive = np.ones(n, dtype=bool)
     alive[dead] = False
     A = np.zeros((n, n), dtype=bool)
-    tail, head = (g.u, g.v) if right else (g.v, g.u)
-    A[tail, head] = True
+    A[g.u, g.v] = True
     A[:, dead] = False
     ids = np.arange(n)
     for first in range(0, sources.size, _SOURCE_BLOCK):
@@ -475,8 +461,7 @@ def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
             src = src[order]
         dist = np.full((src.size, n), -1, dtype=np.int32)
         dist[np.arange(src.size), src] = 0
-        pending = (ids > src[:, None]) if right else (ids < src[:, None])
-        pending &= alive
+        pending = (ids > src[:, None]) & alive
         front = A[src]
         step = np.empty((src.size, n), dtype=np.float32)
         hop = 1
@@ -493,16 +478,11 @@ def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
             step[...] = 0
             for k0 in range(0, n, _SLAB):
                 k1 = min(n, k0 + _SLAB)
-                if right:
-                    r0, r1 = 0, int(np.searchsorted(src, k1 - 1))
-                    c0, c1 = k0 + 1, n
-                else:
-                    r0, r1 = int(np.searchsorted(src, k0, side="right")), src.size
-                    c0, c1 = 0, k1 - 1
-                part = front[r0:r1, k0:k1]
+                r1 = int(np.searchsorted(src, k1 - 1))
+                part = front[:r1, k0:k1]
                 if not part.any():
                     continue
-                step[r0:r1, c0:c1] += part.astype(np.float32) @ A[k0:k1, c0:c1].astype(np.float32)
+                step[:r1, k0 + 1:] += part.astype(np.float32) @ A[k0:k1, k0 + 1:].astype(np.float32)
             np.greater(step, 0, out=front)
             front &= pending
             hop += 1
@@ -512,9 +492,20 @@ def monotone_hops(g: WeightedGraph, B, sources, direction: str = "right",
 
 
 def monotone_reach_1d(g: WeightedGraph, B, source: int, direction: str = "right") -> np.ndarray:
-    """All vertices t (not failed) reachable from source by a monotone path."""
-    dead = clean_vertex_set(B, g.n)
+    """All vertices t (not failed) reachable from source by a monotone path.
+
+    A leftward search is the rightward one on the mirrored graph, which
+    takes vertex v to n - 1 - v."""
+    if direction not in ("left", "right"):
+        raise ValueError("direction must be 'left' or 'right'")
+    n = g.n
+    source = int(vertex_ids([source], n)[0])
+    dead = clean_vertex_set(B, n)
     if np.isin(source, dead):
         raise ValueError("source in failure set")
-    (_, dist), = monotone_hops(g, dead, [source], direction)
-    return np.flatnonzero(dist[0] > 0)
+    if direction == "left":
+        g = WeightedGraph(n, n - 1 - g.v, n - 1 - g.u, g.w)
+        dead, source = n - 1 - dead, n - 1 - source
+    (_, dist), = monotone_hops(g, dead, [source])
+    reach = np.flatnonzero(dist[0] > 0)
+    return reach if direction == "right" else (n - 1 - reach)[::-1]

@@ -12,7 +12,6 @@ once, and the WSPD and the shadows run on them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,30 +180,36 @@ def _stack_numbering(parent: np.ndarray, level: np.ndarray, batches) -> tuple[np
 def normalize_unit(coords: np.ndarray, margin: float = 0.125) -> tuple[np.ndarray, float, np.ndarray]:
     """Map points into [margin, 1-margin)^d; returns (normalized, scale, offset)
     with original = normalized/scale ... offset arithmetic preserved for
-    distance conversion: dist_orig = dist_norm / scale."""
+    distance conversion: dist_orig = dist_norm / scale.
+
+    This is the one input contract of the Euclidean constructions and the
+    quadtree.  The coordinates must be finite and span a nonzero extent, and
+    the normalized rows must be pairwise distinct: that is exactly what the
+    quadtree needs to separate every point, since each dyadic cell boundary
+    it tests is exact in float64.  Rows equal in the input raise "point set
+    contains duplicate points"; distinct rows that normalization merges, as
+    it does past a spread of about 2^55, raise "spread overflow".
+    """
     coords = np.asarray(coords, dtype=np.float64)
+    if not np.isfinite(coords).all():
+        raise ValueError("point set has non-finite coordinates")
     lo = coords.min(axis=0)
     extent = float((coords.max(axis=0) - lo).max())
     if extent <= 0:
         raise ValueError("degenerate point set")
     scale = (1.0 - 2.0 * margin) / extent * (1.0 - 1e-12)
     normed = (coords - lo) * scale + margin
+    # sorted by normalized row, ties by input row: equal input rows are adjacent
+    order = np.lexsort(np.concatenate([coords.T, normed.T]))
+    rows, raw = normed[order], coords[order]
+    merged = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+    if merged.size:
+        if (raw[merged + 1] == raw[merged]).all(axis=1).any():
+            raise ValueError("point set contains duplicate points")
+        a, b = sorted(order[merged[0]:merged[0] + 2].tolist())
+        raise ValueError(f"spread overflow: points {a} and {b} are distinct but "
+                         "normalize to the same float64 row")
     return normed, scale, lo
-
-
-def max_log2_spread(d: int, margin: float) -> float:
-    """Largest log2(spread) at which normalize_unit keeps distinct points
-    distinct, so that the quadtree can separate them.
-
-    Two points at distance >= diameter / spread differ by at least
-    diameter / (spread sqrt d) along some axis, which normalize_unit maps
-    to at least (1 - 2 margin)(1 - 1e-12) / (spread sqrt d), since the
-    extent is at most the diameter.  Each normalized coordinate lies below
-    1 and carries three roundings (subtract, scale, shift): an error below
-    2^-52, so below 2^-51 on a difference.  The limit keeps the smallest
-    normalized difference above that.
-    """
-    return math.log2((1.0 - 2.0 * margin) * (1.0 - 1e-12) / math.sqrt(d)) + 51
 
 
 # ---------------------------------------------------------------------------

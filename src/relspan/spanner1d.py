@@ -198,7 +198,7 @@ def find_exact_path(g: WeightedGraph, B, s: int, t: int,
     dead = clean_vertex_set(B, g.n)
     if np.isin([s, t], dead).any():
         raise ValueError("endpoint in failure set")
-    dist = next(monotone_hops(g, dead, [s], "right", hop_cap))[1][0]
+    dist = next(monotone_hops(g, dead, [s], hop_cap))[1][0]
     if dist[t] < 0:
         return PathResult(False, [], 0, math.inf)
     path = [t]
@@ -229,7 +229,7 @@ def one_path_coverage(g: WeightedGraph, B, good: np.ndarray,
     is_good = np.isin(ids, good)
     failures: list[tuple[int, int]] = []
     failing = max_hops = 0
-    for first, dist in monotone_hops(g, B, sources, "right", hop_cap):
+    for first, dist in monotone_hops(g, B, sources, hop_cap):
         src = sources[first:first + dist.shape[0]]
         miss = (dist < 0) & is_good & (ids > src[:, None])
         count = int(np.count_nonzero(miss))

@@ -17,24 +17,13 @@ import numpy as np
 from .expanders import blocks_into_sink
 from .graph_core import EdgeSink, PointSet, WeightedGraph, as_coords
 from .lso import build_ordering_family, family_size, sort_by_ordering
-from .quadtree import (build_quadtree, build_wspd, max_log2_spread, normalize_unit,
-                       sibling_pairs, wspd_point_pair_counts)
+from .quadtree import (build_quadtree, build_wspd, normalize_unit, sibling_pairs,
+                       wspd_point_pair_counts)
 from .shadow import as_fraction
 from .spanner1d import build_G_theta, shifted_interval_params
 from .streams import subseed
 
 NORM_MARGIN = 0.125  # keeps shifted-grid cells away from the unit-cube boundary
-
-
-def _distinct_points(coords: np.ndarray) -> PointSet:
-    """The input of a Euclidean builder: at least 2 points, no two equal."""
-    ps = PointSet(coords)
-    if ps.n < 2:
-        raise ValueError("need at least 2 points")
-    rows = ps.coords[np.lexsort(ps.coords.T)]
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
-        raise ValueError("point set contains duplicate points")
-    return ps
 
 
 # ---------------------------------------------------------------------------
@@ -47,18 +36,15 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     sibling cells; survives failures outside the (1 - theta/2)-cell-shadow
     with stretch 1 + eps."""
     coords = as_coords(points)
-    ps = _distinct_points(coords)
+    ps = PointSet(coords)
     n = ps.n
+    if n < 2:
+        raise ValueError("need at least 2 points")
     theta = as_fraction(theta)
     if not (0 < theta < Fraction(1, 2)):
         raise ValueError("theta must be in (0, 1/2)")
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
-    log_spread = math.log2(ps.spread)
-    limit = max_log2_spread(ps.d, NORM_MARGIN)
-    if log_spread > limit:
-        raise ValueError(f"spread overflow: log2(spread) = {log_spread:.1f} > {limit:.2f}, "
-                         "past which normalization can merge distinct points")
     normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
     tree = build_quadtree(normed, already_normalized=True)
     separation = 6.0 / epsilon
@@ -87,7 +73,7 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
         "separation": separation,
         "seed": seed,
         "spread": ps.spread,
-        "log2_spread": log_spread,
+        "log2_spread": math.log2(ps.spread),
         "wspd_pairs": len(pairs),
         "wspd_max_membership": int(counts.max()) if n else 0,
         "sample_budget": budget,
@@ -165,8 +151,10 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     directly as the clique and labeled as such.
     """
     coords = as_coords(points)
-    ps = _distinct_points(coords)
+    ps = PointSet(coords)
     n, d = ps.n, ps.d
+    if n < 2:
+        raise ValueError("need at least 2 points")
     cfg = hd_config(n, d, epsilon, theta, variant, c2)
     normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
     N1d, _ = shifted_interval_params(cfg["theta_prime"], sub_c)

@@ -14,9 +14,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from relspan import graph_core
-from relspan.graph_core import PointSet, clean_vertex_set, shortest_path_matrix, vertex_ids
+from relspan.graph_core import PointSet, clean_vertex_set, vertex_ids
 from relspan.harness import FAILING_KEPT, STRETCH_SLACK
 from relspan.lso import family_shape
 from relspan.quadtree import MAX_DEPTH, normalize_unit
@@ -73,6 +75,22 @@ def dijkstra_py(n: int, edges, source: int, bad=()) -> list[float]:
             if d + w < dist[v]:
                 dist[v] = d + w
                 heapq.heappush(heap, (d + w, v))
+    return dist
+
+
+def shortest_path_matrix(g, B, sources) -> np.ndarray:
+    """Row-per-source distance matrix on the alive subgraph: scipy's
+    Dijkstra over the edges with no failed endpoint, whole rows (+inf at
+    the failed and the unreachable vertices)."""
+    dead = clean_vertex_set(B, g.n)
+    sources = np.asarray(sources, dtype=np.int64)
+    if np.isin(sources, dead).any():
+        raise ValueError("source in failure set")
+    keep = ~(np.isin(g.u, dead) | np.isin(g.v, dead))
+    u, v, w = g.u[keep], g.v[keep], g.w[keep]
+    alive = csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(g.n, g.n))
+    dist = np.atleast_2d(dijkstra(alive, directed=False, indices=sources))
+    dist[:, dead] = np.inf
     return dist
 
 
@@ -193,14 +211,11 @@ def monotone_layers_bruteforce(n: int, edges, source: int, bad=(),
     return layers
 
 
-def monotone_hops_dense(g, B, sources, direction: str = "right",
-                        hop_cap: int | None = None):
+def monotone_hops_dense(g, B, sources, hop_cap: int | None = None):
     """graph_core.monotone_hops before the triangle kernel: every hop >= 2 is
     the full float32 product of the frontier's rows and mid columns with
     the step matrix's rows over the columns still pending, gathered by
     fancy indexing.  Source blocks follow graph_core._SOURCE_BLOCK."""
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
     block = graph_core._SOURCE_BLOCK
     n = g.n
     sources = vertex_ids(sources, n)
@@ -208,8 +223,7 @@ def monotone_hops_dense(g, B, sources, direction: str = "right",
     alive = np.ones(n, dtype=bool)
     alive[dead] = False
     A = np.zeros((n, n), dtype=bool)
-    tail, head = (g.u, g.v) if direction == "right" else (g.v, g.u)
-    A[tail, head] = True
+    A[g.u, g.v] = True
     A[:, dead] = False
     ids = np.arange(n)
     for first in range(0, sources.size, block):
@@ -229,8 +243,7 @@ def monotone_hops_dense(g, B, sources, direction: str = "right",
             dist[rows] = reach
             if hop == hop_cap:
                 break
-            beyond = ids > src[rows, None] if direction == "right" else ids < src[rows, None]
-            pending = (reach < 0) & alive & beyond
+            pending = (reach < 0) & alive & (ids > src[rows, None])
             tgt = np.flatnonzero(pending.any(axis=0))
             if not tgt.size:
                 break

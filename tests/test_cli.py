@@ -105,6 +105,52 @@ def test_shadow_quadtree_cli(tmp_path):
     assert 5 in json.loads((tmp_path / "q.json").read_text())["members"]
 
 
+@pytest.mark.parametrize("flaw, message", [("duplicate", "point set contains duplicate points"),
+                                           ("nan", "point set has non-finite coordinates")])
+def test_point_contract_errors_exit_two(tmp_path, capsys, flaw, message):
+    pts = jittered_grid(4, 4, seed=2)
+    pts[9] = pts[3] if flaw == "duplicate" else np.nan
+    pfile = tmp_path / "pts.txt"
+    save_points(pts, pfile)
+    bad = tmp_path / "bad.txt"
+    bad.write_text("5\n")
+    for argv in (["shadow", "quadtree", "--points", pfile, "--gamma", "7/8", "--bad", bad,
+                  "-o", tmp_path / "q.json"],
+                 ["build", "hd", "--points", pfile, "--eps", "0.5", "--theta", "0.5",
+                  "-o", tmp_path / "hd.edges"]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "q.json").exists() and not (tmp_path / "hd.edges").exists()
+
+
+def test_certify_rejects_a_nan_position(tmp_path, capsys):
+    pfile = tmp_path / "pts.txt"
+    save_points(jittered_grid(4, 4, seed=3), pfile)
+    out = tmp_path / "bs.edges"
+    assert run(["build", "bounded-spread", "--points", pfile, "--eps", "0.5",
+                "--theta", "0.25", "--seed", "1", "-o", out]) == 0
+    sidecar_path = tmp_path / "bs.edges.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["positions"][6][0] = float("nan")
+    sidecar_path.write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run(["certify", "--graph", out]) == 2
+    assert capsys.readouterr().err.startswith("error: non-finite edge weight")
+
+
+def test_cli_and_bounded_spread_build_leave_scipy_spatial_unimported():
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import relspan.cli\n"
+            "from relspan.spanner_euclidean import build_bounded_spread_spanner\n"
+            "build_bounded_spread_spanner(np.random.default_rng(0).random((30, 2)), 0.5, '1/4')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_full_pipeline_build_attack_certify(tmp_path):
     out = tmp_path / "h.edges"
     assert run(["build", "1d-const", "--n", "128", "--seed", "5", "-o", out]) == 0

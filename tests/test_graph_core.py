@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import pdist
 
 from relspan.graph_core import (PointSet, WeightedGraph, clean_vertex_set, load_edge_list,
                                 load_points, monotone_reach_1d, shortest_path_length,
-                                shortest_path_matrix, shortest_path_pairs)
+                                shortest_path_pairs)
 from relspan.streams import substream
 
 from helpers import edge_set
-from oracles import floyd_warshall, monotone_reach_bruteforce
+from oracles import floyd_warshall, monotone_reach_bruteforce, shortest_path_matrix
 
 
 def path_graph(n):
@@ -52,13 +54,13 @@ def test_matches_floyd_warshall_oracle():
     for bad in ([], [2, 7]):
         expect = floyd_warshall(12, edges, bad)
         alive = [i for i in range(12) if i not in bad]
-        got = shortest_path_matrix(g, bad, alive)
-        for row, src in enumerate(alive):
-            for t in range(12):
-                if t in bad:
-                    assert math.isinf(got[row][t])
-                else:
-                    assert got[row][t] == pytest.approx(expect[src][t], rel=1e-9)
+        s, t = np.repeat(alive, 12), np.tile(np.arange(12), len(alive))
+        got = shortest_path_pairs(g, bad, s, t)
+        for src, dst, dist in zip(s.tolist(), t.tolist(), got.tolist()):
+            if dst in bad:
+                assert math.isinf(dist)
+            else:
+                assert dist == pytest.approx(expect[src][dst], rel=1e-9)
 
 
 def test_pair_distances_match_the_matrix():
@@ -149,6 +151,15 @@ def test_constructor_dedups_and_drops_loops():
     g.validate()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_from_pairs_rejects_non_finite_weights(bad):
+    pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pos[2, 1] = bad
+    with pytest.raises(ValueError, match="non-finite edge weight"):
+        WeightedGraph.from_pairs(3, [0, 1], [1, 2], positions=pos)
+    WeightedGraph.from_pairs(3, [0], [1], positions=pos).validate()  # no edge at point 2
+
+
 def test_out_of_range_edges_rejected():
     with pytest.raises(ValueError):
         WeightedGraph.from_pairs(3, [0], [3], line=True)
@@ -186,6 +197,19 @@ def test_pointset_derived_quantities():
     assert pts.diameter == pytest.approx(5.0)
     assert pts.closest_pair == pytest.approx(1.0)
     assert pts.spread == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_pointset_extremes_match_scipy_spatial(d):
+    # bit for bit: below 8 coordinates numpy sums the squares in order, as
+    # cKDTree and pdist do; 1030 points cross the 1024-row chunk
+    rng = substream(d, "extremes")
+    for n in (2, 3, 40, 1030):
+        for _ in range(2 if n > 100 else 10):
+            pts = rng.random((n, d)) * 10.0 ** rng.integers(-3, 4)
+            ps = PointSet(pts)
+            assert ps.closest_pair == cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+            assert ps.diameter == pdist(pts).max()
 
 
 def test_pointset_rejects_duplicates():

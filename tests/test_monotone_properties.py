@@ -3,9 +3,10 @@
 one_path_coverage, find_exact_path and monotone_reach_1d against the
 pure-Python breadth-first oracles, on random line graphs with n <= 64 and
 random failure sets, good sets, hop caps and failure caps; monotone_hops
-against the dense full-product kernel, with slabs and source blocks shrunk
-so that small graphs cross many of their boundaries, and at the real widths
-on n = 600.
+against the dense full-product kernel, and the leftward monotone_reach_1d,
+which runs it on the mirrored graph, against the breadth-first oracle, with
+slabs and source blocks shrunk so that small graphs cross many of their
+boundaries, and at the real widths on n = 600.
 """
 
 import tracemalloc
@@ -77,13 +78,19 @@ def test_exact_path_matches_oracle(case, data, hop_cap):
 
 
 def assert_same_hops(g, bad, sources, hop_cap):
-    for direction in ("right", "left"):
-        got = list(monotone_hops(g, bad, sources, direction, hop_cap))
-        want = list(monotone_hops_dense(g, bad, sources, direction, hop_cap))
-        assert [first for first, _ in got] == [first for first, _ in want]
-        for (_, dist), (_, expect) in zip(got, want):
-            assert dist.dtype == expect.dtype
-            np.testing.assert_array_equal(dist, expect)
+    got = list(monotone_hops(g, bad, sources, hop_cap))
+    want = list(monotone_hops_dense(g, bad, sources, hop_cap))
+    assert [first for first, _ in got] == [first for first, _ in want]
+    for (_, dist), (_, expect) in zip(got, want):
+        assert dist.dtype == expect.dtype
+        np.testing.assert_array_equal(dist, expect)
+
+
+def assert_same_left_reach(g, bad, sources):
+    edges = list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
+    for src in sorted(set(sources) - set(np.asarray(bad).tolist())):
+        got = monotone_reach_1d(g, bad, src, "left").tolist()
+        assert got == sorted(monotone_reach_bruteforce(g.n, edges, src, bad, "left"))
 
 
 @given(line_graphs(), st.data(), hop_caps, st.sampled_from([1, 3, 8]), st.integers(1, 5))
@@ -93,6 +100,7 @@ def test_hops_match_dense_kernel_across_slabs(case, data, hop_cap, slab, block):
     with mock.patch.object(graph_core, "_SLAB", slab), \
             mock.patch.object(graph_core, "_SOURCE_BLOCK", block):
         assert_same_hops(g, bad, sources, hop_cap)
+        assert_same_left_reach(g, bad, sources)
 
 
 @pytest.mark.parametrize("density", [0.05, 0.3])
@@ -106,6 +114,7 @@ def test_hops_match_dense_kernel_at_full_width(density):
     sources = rng.integers(0, n, size=1500)
     for hop_cap in (None, 1, 2):
         assert_same_hops(g, bad, sources, hop_cap)
+    assert_same_left_reach(g, bad, sources[:20])
 
 
 def test_hops_make_no_n_by_n_float32_copy():
@@ -117,8 +126,7 @@ def test_hops_make_no_n_by_n_float32_copy():
     sources = np.sort(rng.choice(n, size=64, replace=False))
     tracemalloc.start()
     try:
-        for direction in ("right", "left"):
-            hops = [dist.max() for _, dist in monotone_hops(g, [], sources, direction)]
+        hops = [dist.max() for _, dist in monotone_hops(g, [], sources)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

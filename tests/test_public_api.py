@@ -3,20 +3,23 @@ once, every listed name resolves, and names moved out of the library stay
 out of it."""
 
 import relspan
+import relspan.graph_core
 import relspan.harness
 import relspan.quadtree
 import relspan.spanner1d
 import relspan.spanner_euclidean
 
 # test-only helpers (they live in tests/), routines the certification
-# context replaced and the object form of the quadtree
+# context replaced, the object form of the quadtree and the input checks
+# that normalize_unit's point-set contract replaced
 REMOVED = {
     relspan: ["BlockTree", "CanonicalWalk", "canonical_walk"],
+    relspan.graph_core: ["shortest_path_matrix"],
     relspan.spanner1d: ["BlockTree", "CanonicalWalk", "canonical_walk", "coverage_totals"],
-    relspan.spanner_euclidean: ["hd_rank_permutations"],
+    relspan.spanner_euclidean: ["hd_rank_permutations", "_distinct_points"],
     relspan.harness: ["_greedy_objective", "_bplus_1d", "_bplus_quadtree", "_bplus_hd",
                       "_certify_connectivity"],
-    relspan.quadtree: ["QuadNode", "TreeArrays"],
+    relspan.quadtree: ["QuadNode", "TreeArrays", "max_log2_spread"],
 }
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from relspan.quadtree import (build_quadtree, build_wspd, normalize_unit, sibling_pairs,
                               wspd_point_pair_counts)
+from relspan.spanner_euclidean import build_bounded_spread_spanner
 from relspan.streams import substream
 
 from oracles import cell_distance, quadtree_nodes, wspd_point_pair_counts_loop, wspd_recursive
@@ -34,6 +35,67 @@ def test_normalize_margin_and_scale():
     d_orig = np.linalg.norm(pts[3] - pts[17])
     d_norm = np.linalg.norm(normed[3] - normed[17])
     assert d_norm / scale == pytest.approx(d_orig, rel=1e-9)
+
+
+@st.composite
+def scaled_point_sets(draw):
+    """2 to 10 points in d = 1..3 at a random scale and offset, with some
+    rows copied and moved by a random, often sub-ulp, fraction of the scale
+    along one axis (near-merging pairs and exact repeats), and the last
+    point up to 2^60 scales away, so that the normalization may merge
+    distinct rows."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 2.0 ** draw(st.integers(-60, 60))
+    pts = rng.random((n, d)) * scale + draw(st.sampled_from([0.0, 1.0, -3.5, 1e6])) * scale
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        pts[j] = pts[i]
+        pts[j, draw(st.integers(0, d - 1))] += scale * 2.0 ** -draw(st.floats(0.0, 64.0))
+    pts[-1, 0] += scale * 2.0 ** draw(st.floats(0.0, 60.0))
+    return pts
+
+
+def contract_outcome(pts, margin=0.125):
+    """normalize_unit's verdict recomputed row by row in Python floats:
+    "degenerate", "duplicate", "overflow", or the normalized rows."""
+    rows = [tuple(r) for r in pts.tolist()]
+    lo = [min(col) for col in zip(*rows)]
+    extent = max(max(col) - low for col, low in zip(zip(*rows), lo))
+    if extent <= 0:
+        return "degenerate"
+    scale = (1.0 - 2.0 * margin) / extent * (1.0 - 1e-12)
+    normed = [tuple((x - low) * scale + margin for x, low in zip(r, lo)) for r in rows]
+    if len(set(rows)) < len(rows):
+        return "duplicate"
+    if len(set(normed)) < len(normed):
+        return "overflow"
+    return normed
+
+
+@given(scaled_point_sets())
+def test_normalize_accepts_exactly_distinct_normalized_rows(pts):
+    want = contract_outcome(pts)
+    messages = {"degenerate": "^degenerate point set$",
+                "duplicate": "^point set contains duplicate points$",
+                "overflow": "^spread overflow: "}
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=messages[want]):
+            normalize_unit(pts)
+        return
+    normed, _, _ = normalize_unit(pts)
+    assert [tuple(r) for r in normed.tolist()] == want
+    build_bounded_spread_spanner(pts, 0.5, "1/4").validate()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalize_rejects_non_finite_coordinates(bad):
+    pts = _points(3, 10)
+    pts[4, 1] = bad
+    for check in (normalize_unit, build_quadtree):
+        with pytest.raises(ValueError, match="^point set has non-finite coordinates$"):
+            check(pts)
 
 
 def test_leaves_are_singletons_and_partition():

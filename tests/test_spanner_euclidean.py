@@ -5,17 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_matrix
-from relspan.harness import Certifier
+from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_pairs
+from relspan.harness import Certifier, certify
 from relspan.lso import build_ordering_family, sort_by_ordering
 from relspan.spanner1d import build_G_theta
-from relspan.quadtree import max_log2_spread, normalize_unit
+from relspan.quadtree import normalize_unit
 from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
                                        build_hd_spanner, hd_config, union_over_orderings)
 from relspan.streams import substream
 
 from helpers import edge_set, graph_sha256
-from oracles import bounded_spread_oracle, dijkstra_py
+from oracles import bounded_spread_oracle, dijkstra_py, shortest_path_matrix
 
 
 def jittered_grid(rows, cols, seed=0, jitter=0.2):
@@ -86,14 +86,14 @@ def test_bounded_spread_scipy_vs_heap_oracle():
     edges = list(zip(g.u.tolist(), g.v.tolist(), g.w.tolist()))
     bad = [3, 12]
     alive = [v for v in range(g.n) if v not in bad]
-    dist = shortest_path_matrix(g, bad, alive)
-    for row, s in list(enumerate(alive))[::6]:
+    for s in alive[::6]:
         want = dijkstra_py(g.n, edges, s, bad)
-        for t in alive:
+        dist = shortest_path_pairs(g, bad, [s] * len(alive), alive)
+        for t, got in zip(alive, dist.tolist()):
             if math.isinf(want[t]):
-                assert math.isinf(dist[row][t])
+                assert math.isinf(got)
             else:
-                assert dist[row][t] == pytest.approx(want[t], rel=1e-9)
+                assert got == pytest.approx(want[t], rel=1e-9)
 
 
 def test_bounded_spread_metadata():
@@ -127,13 +127,21 @@ def _far_pairs(d, e):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_spread_limit_is_checked_up_front(d):
-    limit = max_log2_spread(d, NORM_MARGIN)
-    at = _far_pairs(d, limit - 1e-9)
-    assert math.log2(PointSet(at).spread) <= limit
-    g = build_bounded_spread_spanner(at, 0.5, "1/4")
-    assert g.u.size == len(at) * (len(at) - 1) // 2  # all points distinct, all joined
-    for e in (limit + 1e-9, 56, 58, 60):  # one step past, and past float resolution
-        with pytest.raises(ValueError, match="spread overflow"):
+    # a sufficient bound from the roundings of the normalization into
+    # [1/8, 7/8)^d (50.08 in d = 2): every set below it builds
+    rounding_bound = math.log2(0.75 * (1.0 - 1e-12) / math.sqrt(d)) + 51
+    # the exact limit: the unit pair's normalized gap, 0.75 / 2^e, stays
+    # above half an ulp of 1/8 (2^-56) up to e = 56 - log2(4/3) = 55.58
+    for e in (rounding_bound - 1e-9, 55.5):
+        pts = _far_pairs(d, e)
+        assert math.log2(PointSet(pts).spread) == pytest.approx(e)
+        g = build_bounded_spread_spanner(pts, 0.5, "1/4")
+        g.validate()
+        assert g.u.size == len(pts) * (len(pts) - 1) // 2  # all points distinct, all joined
+        rep = certify(g, [])
+        assert rep.passed and rep.bplus_size == 0
+    for e in (55.75, 56, 58, 60):  # the unit pair merges into one normalized row
+        with pytest.raises(ValueError, match="^spread overflow: points 0 and 1 "):
             build_bounded_spread_spanner(_far_pairs(d, e), 0.5, "1/4")
 
 
