@@ -26,7 +26,7 @@ from .expanders import (build_bipartite_expander, build_reliable_connectivity,
 from .graph_core import WeightedGraph, clean_vertex_set, load_edge_list, load_points
 from .harness import AttackSpec, certify, generate_attack, loss_curve, write_loss_csv
 from .lso import build_ordering_family, check_lso_property
-from .quadtree import build_quadtree, normalize_unit
+from .quadtree import build_quadtree
 from .shadow import (as_fraction, check_shadow_bounds, cone_mark_unsafe,
                      shadow_1d, shadow_balls_oracle, shadow_quadtree)
 from .spanner1d import build_G_theta, build_H, g_theta_crossover
@@ -195,8 +195,7 @@ def _cmd_shadow(args) -> int:
     elif args.variant == "quadtree":
         pts = load_points(args.points)
         bad = _load_bad(args.bad, pts.n)
-        normed, _, _ = normalize_unit(pts.coords)
-        tree = build_quadtree(normed, already_normalized=True)
+        tree = build_quadtree(pts.normed)
         res = shadow_quadtree(tree, bad, as_fraction(args.gamma))
         payload = {"members": res.members,
                    "shadowed_nodes": res.shadowed_nodes,
@@ -204,12 +203,12 @@ def _cmd_shadow(args) -> int:
     elif args.variant == "balls":
         pts = load_points(args.points)
         bad = _load_bad(args.bad, pts.n)
-        res = shadow_balls_oracle(pts, bad, as_fraction(args.alpha))
+        res = shadow_balls_oracle(pts.coords, bad, as_fraction(args.alpha))
         payload = {"members": res.members}
     else:  # cones
         pts = load_points(args.points)
         bad = _load_bad(args.bad, pts.n)
-        unsafe = cone_mark_unsafe(pts, bad, as_fraction(args.alpha))
+        unsafe = cone_mark_unsafe(pts.coords, bad, as_fraction(args.alpha))
         payload = {"members": unsafe}
     _write_json(args.out, payload)
     print(f"shadow {args.variant}: {len(payload['members'])} members -> {args.out}")
@@ -270,8 +269,8 @@ def _cmd_lso(args) -> int:
     found = 0
     for trial in range(args.pairs):
         i, j = rng.choice(pts.n, size=2, replace=False)
-        res = check_lso_property(family, pts.coords[i], pts.coords[j],
-                                 sample_count=args.samples, points=pts,
+        res = check_lso_property(family, pts.normed[i], pts.normed[j],
+                                 sample_count=args.samples, points=pts.normed,
                                  seed=args.seed + trial)
         found += res.ok
     rate = found / args.pairs

@@ -395,10 +395,9 @@ def verify_connectivity_sampled(g: WeightedGraph, theta, samples: int,
 
 def build_verified_bipartite(left_size: int, right_size: int, xi, seed: int = 0,
                              max_attempts: int = 20,
-                             degree_constant_override: int | None = None,
-                             mode: str = "exhaustive",
-                             samples: int = 200) -> tuple[WeightedGraph, int, VerifyResult]:
-    """Resample with attempt-derived seeds until verification passes.
+                             degree_constant_override: int | None = None
+                             ) -> tuple[WeightedGraph, int, VerifyResult]:
+    """Resample with attempt-derived seeds until exhaustive verification passes.
 
     Attempt 1 uses the caller's seed unchanged, so a verified build equals
     the plain build when the first attempt already passes.
@@ -410,10 +409,7 @@ def build_verified_bipartite(left_size: int, right_size: int, xi, seed: int = 0,
         g = build_bipartite_expander(left_size, right_size, xi, s,
                                      degree_constant_override=degree_constant_override)
         sides = (np.arange(left_size), np.arange(left_size, left_size + right_size))
-        if mode == "exhaustive":
-            res = verify_expansion_bruteforce(g, sides, xi)
-        else:
-            res = verify_expansion_sampled(g, sides, xi, samples, seed=s)
+        res = verify_expansion_bruteforce(g, sides, xi)
         g.meta["verify"] = res.as_dict()
         g.meta["attempts"] = attempt
         if res.passed:

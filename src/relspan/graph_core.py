@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -74,24 +73,72 @@ def clean_vertex_set(ids, n: int) -> np.ndarray:
 # point sets
 # ---------------------------------------------------------------------------
 
-@dataclass
+NORM_MARGIN = 0.125  # the frame [1/8, 7/8)^d keeps shifted-grid cells off the cube boundary
+
+
 class PointSet:
-    """Points in R^d with cached diameter / closest-pair / spread."""
+    """Points in R^d that meet the Euclidean input contract, their frame in
+    [NORM_MARGIN, 1 - NORM_MARGIN)^d, normed = (coords - offset) * scale +
+    NORM_MARGIN, and their cached diameter, closest pair and spread.
+    PointSet(ps) is ps, so a point set is checked once.
 
-    coords: np.ndarray  # (n, d) float64
+    Construction checks, in this order, that there are at least 2 points,
+    that every coordinate is finite, that the extent (the largest coordinate
+    range) is positive and in [2^-456, 2^511 / sqrt(d)], and that the
+    normalized rows are pairwise distinct, each with its own ValueError.
+    Distinct normalized rows are exactly what the quadtree needs to separate
+    every point, since each dyadic cell boundary it tests is exact in
+    float64.  Rows equal in the input raise "point set contains duplicate
+    points"; distinct rows that the normalization merges, as it does past a
+    spread of about 2^55, raise "spread overflow".
 
-    def __post_init__(self):
-        coords = np.ascontiguousarray(np.atleast_2d(np.asarray(self.coords, dtype=np.float64)))
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
+    The extent bound keeps the squared distances that the closest pair, the
+    diameter and every edge weight come from in the float64 normal range
+    [2^-1022, 2^1024).  A squared distance is at most d * extent^2 <= 2^1022.
+    Distinct normalized rows differ by at least one ulp of a value in
+    [1/8, 7/8), 2^-55, on a frame of extent 3/4, so points differ by about
+    extent * 2^-55 or more, whose square is at least 2^-1022 once the
+    extent is at least 2^(55 - 511) = 2^-456.  The exception is a pair
+    whose roundings in coords - offset and in the scaling both straddle a
+    midpoint: it passes the row check down to about extent * 2^-158.
+    """
 
-    @property
-    def n(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.coords.shape[1]
+    def __new__(cls, coords):
+        if isinstance(coords, PointSet):
+            return coords
+        self = super().__new__(cls)
+        coords = np.ascontiguousarray(np.atleast_2d(np.asarray(coords, dtype=np.float64)))
+        n, d = coords.shape
+        if n < 2:
+            raise ValueError("need at least 2 points")
+        if not np.isfinite(coords).all():
+            raise ValueError("point set has non-finite coordinates")
+        lo = coords.min(axis=0)
+        with np.errstate(over="ignore"):  # an infinite extent fails the bound below
+            extent = float((coords.max(axis=0) - lo).max())
+        if extent <= 0:
+            raise ValueError("degenerate point set")
+        if not (2.0 ** -456 <= extent and d * extent * extent <= 2.0 ** 1022):
+            raise ValueError(f"coordinate extent 2^{math.log2(extent):.2f} is outside "
+                             "[2^-456, 2^511 / sqrt(d)]: squared distances would leave "
+                             "the float64 normal range")
+        scale = (1.0 - 2.0 * NORM_MARGIN) / extent * (1.0 - 1e-12)
+        normed = (coords - lo) * scale + NORM_MARGIN
+        # sorted by normalized row, ties by input row: equal input rows are adjacent
+        order = np.lexsort(np.concatenate([coords.T, normed.T]))
+        rows, raw = normed[order], coords[order]
+        merged = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
+        if merged.size:
+            if (raw[merged + 1] == raw[merged]).all(axis=1).any():
+                raise ValueError("point set contains duplicate points")
+            a, b = sorted(order[merged[0]:merged[0] + 2].tolist())
+            raise ValueError(f"spread overflow: points {a} and {b} are distinct but "
+                             "normalize to the same float64 row")
+        for arr in (coords, normed, lo):
+            arr.setflags(write=False)
+        self.coords, self.normed, self.scale, self.offset = coords, normed, scale, lo
+        self.n, self.d = n, d
+        return self
 
     @cached_property
     def _extremes(self) -> tuple[float, float]:
@@ -114,18 +161,11 @@ class PointSet:
 
     @property
     def closest_pair(self) -> float:
-        if self._extremes[1] <= 0.0:
-            raise ValueError("point set contains duplicate points")
         return self._extremes[1]
 
     @property
     def spread(self) -> float:
         return self.diameter / self.closest_pair
-
-
-def as_coords(points) -> np.ndarray:
-    """The (n, d) float64 coordinates of a PointSet or of an array-like."""
-    return points.coords if isinstance(points, PointSet) else np.asarray(points, dtype=np.float64)
 
 
 def load_points(path) -> PointSet:
@@ -144,7 +184,7 @@ def load_points(path) -> PointSet:
         rows.append([float(tok) for tok in tokens])
     if not rows:
         raise ValueError(f"no points in {path}")
-    return PointSet(np.asarray(rows, dtype=np.float64))
+    return PointSet(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import (WeightedGraph, clean_vertex_set, largest_component,
-                         shortest_path_pairs)
+from .graph_core import (NORM_MARGIN, PointSet, WeightedGraph, clean_vertex_set,
+                         largest_component, shortest_path_pairs)
 from .lso import build_ordering_family, sort_by_ordering
-from .quadtree import Quadtree, build_quadtree, normalize_unit
+from .quadtree import Quadtree, build_quadtree
 from .shadow import (as_fraction, shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
                      shadow_quadtree_candidate_sizes)
 from .spanner1d import one_path_coverage
@@ -130,13 +130,16 @@ class Certifier:
 
     @cached_property
     def normed(self) -> np.ndarray:
-        """The positions as the builder normalized them, into [m, 1 - m)^d
-        for the margin m it recorded."""
-        return normalize_unit(self.g.positions, margin=self.g.meta["norm_margin"])[0]
+        """The positions in PointSet's frame, the builders' one.  The margin
+        a graph records may come from a sidecar, so another one is refused."""
+        if self.g.meta["norm_margin"] != NORM_MARGIN:
+            raise ValueError(f"graph records norm_margin {self.g.meta['norm_margin']!r}; "
+                             f"certification needs the contract's {NORM_MARGIN}")
+        return PointSet(self.g.positions).normed
 
     @cached_property
     def tree(self) -> Quadtree:
-        return build_quadtree(self.normed, already_normalized=True)
+        return build_quadtree(self.normed)
 
     @cached_property
     def config(self) -> dict:

@@ -413,14 +413,14 @@ def _test_ordering(o: Ordering, pts: np.ndarray, grid: np.ndarray, rad: float,
 
 
 def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
-                       points=None, seed: int = 0,
-                       full_scan: bool = True) -> LsoCheck:
+                       points=None, seed: int = 0) -> LsoCheck:
     """Search the family for an ordering placing everything sampled between
     p and q inside ball(p, sigma*l) + ball(q, sigma*l), split by a pivot.
 
-    Samples are uniform in [0,1)^d, plus all dataset points when supplied.
-    Candidate orderings (the scales whose cell offset for this pair is in the
-    family) are tried first; full_scan falls back to the whole family.
+    p, q and the dataset rows (PointSet.normed) lie in [0,1)^d, where the
+    orderings are defined; the samples are uniform there, plus the dataset
+    rows when supplied.  Candidate orderings (the scales whose cell offset
+    for this pair is in the family) are tried first, then the rest.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
@@ -430,7 +430,7 @@ def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
     rng = substream(seed, "lso-check")
     z = rng.random((sample_count, family.d))
     if points is not None:
-        data = points if isinstance(points, np.ndarray) else points.coords
+        data = np.asarray(points, dtype=np.float64)
         mask = ~(np.all(data == p, axis=1) | np.all(data == q, axis=1))
         z = np.vstack([z, data[mask]]) if z.size else data[mask]
     rad = family.sigma * ell
@@ -454,12 +454,11 @@ def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
         ok, cnt = _test_ordering(o, pts, grid, rad, dzp, dzq)
         if ok:
             return LsoCheck(True, o.id, tried, cnt)
-    if full_scan:
-        for o in family.orderings:
-            if o.id in seen:
-                continue
-            tried += 1
-            ok, cnt = _test_ordering(o, pts, grid, rad, dzp, dzq)
-            if ok:
-                return LsoCheck(True, o.id, tried, cnt)
+    for o in family.orderings:
+        if o.id in seen:
+            continue
+        tried += 1
+        ok, cnt = _test_ordering(o, pts, grid, rad, dzp, dzq)
+        if ok:
+            return LsoCheck(True, o.id, tried, cnt)
     return LsoCheck(False, None, tried, -1)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph_core import as_coords
+from .graph_core import PointSet
 
 MAX_DEPTH = 64
 
@@ -59,9 +59,9 @@ class Quadtree:
         return counts
 
 
-def build_quadtree(points, already_normalized: bool = False) -> Quadtree:
-    """Compressed quadtree; points are normalized into [0,1)^d unless the
-    caller says they already are.
+def build_quadtree(normed, already_normalized: bool = True) -> Quadtree:
+    """Compressed quadtree of points in [0,1)^d, such as PointSet.normed;
+    already_normalized must be True (older calls pass it).
 
     The build runs level by level over all pending multi-point cells at
     once.  Each level takes the child code of every point, compresses in
@@ -69,10 +69,10 @@ def build_quadtree(points, already_normalized: bool = False) -> Quadtree:
     into children, in ascending code order.  Nodes get creation ids as they
     are made; their final ids and the postorder follow from subtree sizes.
     """
-    coords = as_coords(points)
-    n, d = coords.shape
     if not already_normalized:
-        coords, _, _ = normalize_unit(coords)
+        raise ValueError("build_quadtree takes normalized points: PointSet(coords).normed")
+    coords = np.asarray(normed, dtype=np.float64)
+    n, d = coords.shape
     bits = np.arange(d)
     cap = max(2 * n - 1, 1)  # a compressed tree over n points has at most 2n - 1 nodes
     # per creation id (node 0 is the root)
@@ -177,39 +177,11 @@ def _stack_numbering(parent: np.ndarray, level: np.ndarray, batches) -> tuple[np
     return ids, post
 
 
-def normalize_unit(coords: np.ndarray, margin: float = 0.125) -> tuple[np.ndarray, float, np.ndarray]:
-    """Map points into [margin, 1-margin)^d; returns (normalized, scale, offset)
-    with original = normalized/scale ... offset arithmetic preserved for
-    distance conversion: dist_orig = dist_norm / scale.
-
-    This is the one input contract of the Euclidean constructions and the
-    quadtree.  The coordinates must be finite and span a nonzero extent, and
-    the normalized rows must be pairwise distinct: that is exactly what the
-    quadtree needs to separate every point, since each dyadic cell boundary
-    it tests is exact in float64.  Rows equal in the input raise "point set
-    contains duplicate points"; distinct rows that normalization merges, as
-    it does past a spread of about 2^55, raise "spread overflow".
-    """
-    coords = np.asarray(coords, dtype=np.float64)
-    if not np.isfinite(coords).all():
-        raise ValueError("point set has non-finite coordinates")
-    lo = coords.min(axis=0)
-    extent = float((coords.max(axis=0) - lo).max())
-    if extent <= 0:
-        raise ValueError("degenerate point set")
-    scale = (1.0 - 2.0 * margin) / extent * (1.0 - 1e-12)
-    normed = (coords - lo) * scale + margin
-    # sorted by normalized row, ties by input row: equal input rows are adjacent
-    order = np.lexsort(np.concatenate([coords.T, normed.T]))
-    rows, raw = normed[order], coords[order]
-    merged = np.flatnonzero((rows[1:] == rows[:-1]).all(axis=1))
-    if merged.size:
-        if (raw[merged + 1] == raw[merged]).all(axis=1).any():
-            raise ValueError("point set contains duplicate points")
-        a, b = sorted(order[merged[0]:merged[0] + 2].tolist())
-        raise ValueError(f"spread overflow: points {a} and {b} are distinct but "
-                         "normalize to the same float64 row")
-    return normed, scale, lo
+def normalize_unit(coords) -> tuple[np.ndarray, float, np.ndarray]:
+    """(normed, scale, offset) of PointSet(coords), for calls written
+    against this older form of the contract."""
+    ps = PointSet(coords)
+    return ps.normed, ps.scale, ps.offset
 
 
 # ---------------------------------------------------------------------------

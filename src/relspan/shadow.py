@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import as_coords, clean_vertex_set
+from .graph_core import clean_vertex_set
 
 _INT64_SAFE = 1 << 62
 
@@ -268,7 +268,7 @@ def shadow_balls_oracle(points, B, alpha) -> ShadowResult:
     """Exact ball shadow: p is shadowed iff some ball b(p, r) holds at least
     an alpha fraction of failed points.  Only radii at data distances matter,
     and ties in distance are grouped so closed-ball counts stay exact."""
-    coords = as_coords(points)
+    coords = np.asarray(points, dtype=np.float64)
     n = coords.shape[0]
     a = as_fraction(alpha)
     if not (0 < a <= 1):
@@ -338,7 +338,7 @@ def cone_mark_unsafe(points, B, alpha) -> np.ndarray:
     closest surviving non-failed points inside the cone are marked unsafe and
     withdrawn from the working set.  Distance ties break to the lowest id.
     """
-    coords = as_coords(points)
+    coords = np.asarray(points, dtype=np.float64)
     n, d = coords.shape
     ncones = cone_count(d)
     a = as_fraction(alpha)

@@ -4,7 +4,7 @@ Two routes: the ordering-union construction (sort the points by every
 ordering in a locality-sensitive family and take the union of 1D reliable
 spanners built on the ranks) and the bounded-spread construction (bipartite
 expanders across every well-separated pair of quadtree cells plus sibling
-cells).  Both emit Euclidean-weighted graphs over the original coordinates.
+cells).  Both work in PointSet's frame and emit Euclidean-weighted graphs.
 """
 
 from __future__ import annotations
@@ -15,15 +15,12 @@ from fractions import Fraction
 import numpy as np
 
 from .expanders import blocks_into_sink
-from .graph_core import EdgeSink, PointSet, WeightedGraph, as_coords
+from .graph_core import NORM_MARGIN, EdgeSink, PointSet, WeightedGraph
 from .lso import build_ordering_family, family_size, sort_by_ordering
-from .quadtree import (build_quadtree, build_wspd, normalize_unit, sibling_pairs,
-                       wspd_point_pair_counts)
+from .quadtree import build_quadtree, build_wspd, sibling_pairs, wspd_point_pair_counts
 from .shadow import as_fraction
 from .spanner1d import build_G_theta, shifted_interval_params
 from .streams import subseed
-
-NORM_MARGIN = 0.125  # keeps shifted-grid cells away from the unit-cube boundary
 
 
 # ---------------------------------------------------------------------------
@@ -35,18 +32,14 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     """Expander per WSPD pair (separation 6/eps) plus expanders between all
     sibling cells; survives failures outside the (1 - theta/2)-cell-shadow
     with stretch 1 + eps."""
-    coords = as_coords(points)
-    ps = PointSet(coords)
+    ps = PointSet(points)
     n = ps.n
-    if n < 2:
-        raise ValueError("need at least 2 points")
     theta = as_fraction(theta)
     if not (0 < theta < Fraction(1, 2)):
         raise ValueError("theta must be in (0, 1/2)")
     if not (0 < epsilon < 1):
         raise ValueError("epsilon must be in (0, 1)")
-    normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
-    tree = build_quadtree(normed, already_normalized=True)
+    tree = build_quadtree(ps.normed)
     separation = 6.0 / epsilon
     pairs = build_wspd(tree, separation)
     xi = theta / 8
@@ -75,14 +68,14 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
         "spread": ps.spread,
         "log2_spread": math.log2(ps.spread),
         "wspd_pairs": len(pairs),
-        "wspd_max_membership": int(counts.max()) if n else 0,
+        "wspd_max_membership": int(counts.max()),
         "sample_budget": budget,
         "experimental": degree_constant_override is not None,
-        "norm_scale": scale,
-        "norm_offset": offset.tolist(),
+        "norm_scale": ps.scale,
+        "norm_offset": ps.offset.tolist(),
         "norm_margin": NORM_MARGIN,
     }
-    return WeightedGraph.from_pairs(n, u, v, positions=coords, meta=meta)
+    return WeightedGraph.from_pairs(n, u, v, positions=ps.coords, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +143,9 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     ordering contributes the same complete rank graph, so the union is built
     directly as the clique and labeled as such.
     """
-    coords = as_coords(points)
-    ps = PointSet(coords)
+    ps = PointSet(points)
     n, d = ps.n, ps.d
-    if n < 2:
-        raise ValueError("need at least 2 points")
     cfg = hd_config(n, d, epsilon, theta, variant, c2)
-    normed, scale, offset = normalize_unit(coords, margin=NORM_MARGIN)
     N1d, _ = shifted_interval_params(cfg["theta_prime"], sub_c)
     sink = EdgeSink(n)
     if 3 * N1d >= n - 1:
@@ -165,7 +154,7 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     else:
         regime = "layered_union"
         family = build_ordering_family(d, cfg["sigma"])
-        union_over_orderings(normed, family.orderings, cfg["theta_prime"], sub_c,
+        union_over_orderings(ps.normed, family.orderings, cfg["theta_prime"], sub_c,
                              sub_mode, seed, sink, degree_constant_override)
     u, v = sink.extract()
     meta = {
@@ -186,8 +175,8 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
         "bplus_factor": str(1 + cfg["theta"]),
         "seed": seed,
         "experimental": sub_mode == "experimental" or degree_constant_override is not None,
-        "norm_scale": scale,
-        "norm_offset": offset.tolist(),
+        "norm_scale": ps.scale,
+        "norm_offset": ps.offset.tolist(),
         "norm_margin": NORM_MARGIN,
     }
-    return WeightedGraph.from_pairs(n, u, v, positions=coords, meta=meta)
+    return WeightedGraph.from_pairs(n, u, v, positions=ps.coords, meta=meta)

@@ -18,10 +18,10 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from relspan import graph_core
-from relspan.graph_core import PointSet, clean_vertex_set, vertex_ids
+from relspan.graph_core import NORM_MARGIN, PointSet, clean_vertex_set, vertex_ids
 from relspan.harness import FAILING_KEPT, STRETCH_SLACK
 from relspan.lso import family_shape
-from relspan.quadtree import MAX_DEPTH, normalize_unit
+from relspan.quadtree import MAX_DEPTH
 from relspan.streams import substream
 
 
@@ -353,16 +353,14 @@ class NodeQuadtree:
         return order
 
 
-def quadtree_nodes(points, already_normalized: bool = False) -> NodeQuadtree:
-    """The compressed quadtree as one object per node, built one node at a
-    time: cells are popped from a stack, a multi-point cell is halved while
-    its points share one child code, then split into its occupied children
-    in ascending code order, numbered consecutively and pushed in that
-    order.  The node-walking oracles read this form."""
-    coords = np.asarray(points, dtype=np.float64)
+def quadtree_nodes(normed) -> NodeQuadtree:
+    """The compressed quadtree of points in [0,1)^d as one object per node,
+    built one node at a time: cells are popped from a stack, a multi-point
+    cell is halved while its points share one child code, then split into
+    its occupied children in ascending code order, numbered consecutively
+    and pushed in that order.  The node-walking oracles read this form."""
+    coords = np.asarray(normed, dtype=np.float64)
     n, d = coords.shape
-    if not already_normalized:
-        coords, _, _ = normalize_unit(coords)
     nodes: list[QuadNode] = []
 
     def new_node(cell_min, cell_size, ids, depth, parent):
@@ -706,12 +704,9 @@ def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0
     time: a bipartite expander per WSPD pair i, labelled ("wspd", i), and
     one per pair of sibling cells (a, b) of a node, labelled
     ("sib", node, a, b), each marked by expander_block_oracle."""
-    coords = np.asarray(points, dtype=np.float64)
-    ps = PointSet(coords)
+    ps = PointSet(points)
     n = ps.n
-    margin = 0.125
-    normed, scale, offset = normalize_unit(coords, margin=margin)
-    tree = quadtree_nodes(normed, already_normalized=True)
+    tree = quadtree_nodes(ps.normed)
     separation = 6.0 / epsilon
     pairs = wspd_recursive(tree, separation)
     xi = theta / 8
@@ -750,9 +745,9 @@ def bounded_spread_oracle(points, epsilon: float, theta: Fraction, seed: int = 0
         "wspd_max_membership": max(counts),
         "sample_budget": budget,
         "experimental": c_override is not None,
-        "norm_scale": scale,
-        "norm_offset": offset.tolist(),
-        "norm_margin": margin,
+        "norm_scale": ps.scale,
+        "norm_offset": ps.offset.tolist(),
+        "norm_margin": NORM_MARGIN,
     }
     u, v = np.nonzero(mat)
     return n, u.tolist(), v.tolist(), meta

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import relspan.cli
 from relspan.cli import dispatch, load_graph
+from relspan.graph_core import PointSet
 
 from helpers import edge_set, save_points
 from test_spanner_euclidean import jittered_grid, largest_c2
@@ -114,14 +116,40 @@ def test_point_contract_errors_exit_two(tmp_path, capsys, flaw, message):
     save_points(pts, pfile)
     bad = tmp_path / "bad.txt"
     bad.write_text("5\n")
+    outs = [tmp_path / name for name in ("q.json", "b.json", "c.json", "hd.edges", "bs.edges")]
     for argv in (["shadow", "quadtree", "--points", pfile, "--gamma", "7/8", "--bad", bad,
-                  "-o", tmp_path / "q.json"],
+                  "-o", outs[0]],
+                 ["shadow", "balls", "--points", pfile, "--alpha", "1/2", "--bad", bad,
+                  "-o", outs[1]],
+                 ["shadow", "cones", "--points", pfile, "--alpha", "1/2", "--bad", bad,
+                  "-o", outs[2]],
                  ["build", "hd", "--points", pfile, "--eps", "0.5", "--theta", "0.5",
-                  "-o", tmp_path / "hd.edges"]):
+                  "-o", outs[3]],
+                 ["build", "bounded-spread", "--points", pfile, "--eps", "0.5",
+                  "--theta", "0.25", "-o", outs[4]],
+                 ["lso", "check", "--points", pfile, "--sigma", "0.25", "--pairs", "2"]):
         capsys.readouterr()
-        assert run(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "q.json").exists() and not (tmp_path / "hd.edges").exists()
+        assert run(argv) == 2, argv[:2]
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv[:2]
+    assert not any(out.exists() for out in outs)
+
+
+def test_certify_rejects_a_foreign_norm_margin(tmp_path, capsys):
+    pfile = tmp_path / "pts.txt"
+    save_points(jittered_grid(4, 4, seed=3), pfile)
+    out = tmp_path / "bs.edges"
+    assert run(["build", "bounded-spread", "--points", pfile, "--eps", "0.5",
+                "--theta", "0.25", "-o", out]) == 0
+    sidecar_path = tmp_path / "bs.edges.json"
+    sidecar = json.loads(sidecar_path.read_text())
+    sidecar["meta"]["norm_margin"] = 0.25
+    sidecar_path.write_text(json.dumps(sidecar))
+    bad = tmp_path / "bad.txt"
+    bad.write_text("5\n")
+    capsys.readouterr()
+    assert run(["certify", "--graph", out, "--bad", bad]) == 2
+    assert capsys.readouterr().err == ("error: graph records norm_margin 0.25; certification "
+                                       "needs the contract's 0.125\n")
 
 
 def test_certify_rejects_a_nan_position(tmp_path, capsys):
@@ -287,6 +315,30 @@ def test_lso_cli(tmp_path, capsys):
     save_points(pts, pfile)
     assert run(["lso", "check", "--points", pfile, "--sigma", "0.25",
                 "--pairs", "20"]) == 0
+
+
+def test_lso_check_tests_the_normalized_points(tmp_path, monkeypatch):
+    # the orderings are defined on [0,1)^d and key coordinates mod 1, so the
+    # raw grid (coordinates -0.17..4.13) would give (0.1, 0.1) and (1.1, 0.1)
+    # one key
+    pts = jittered_grid(5, 5, seed=4)
+    pfile = tmp_path / "pts.txt"
+    save_points(pts, pfile)
+    normed = PointSet(pts).normed
+    calls = []
+    real = relspan.cli.check_lso_property
+
+    def recording(family, p, q, **kwargs):
+        calls.append((p, q, kwargs["points"]))
+        return real(family, p, q, **kwargs)
+
+    monkeypatch.setattr(relspan.cli, "check_lso_property", recording)
+    assert run(["lso", "check", "--points", pfile, "--sigma", "0.25", "--pairs", "5"]) == 0
+    assert len(calls) == 5
+    rows = {tuple(r) for r in normed.tolist()}
+    for p, q, points in calls:
+        assert tuple(p) in rows and tuple(q) in rows and tuple(p) != tuple(q)
+        assert np.array_equal(points, normed)
 
 
 def test_console_entrypoint_subprocess(tmp_path):

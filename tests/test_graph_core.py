@@ -213,9 +213,14 @@ def test_pointset_extremes_match_scipy_spatial(d):
 
 
 def test_pointset_rejects_duplicates():
-    pts = PointSet(np.array([[0.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        _ = pts.closest_pair
+    with pytest.raises(ValueError, match="^point set contains duplicate points$"):
+        PointSet(np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
+
+
+def test_pointset_of_a_pointset_is_itself():
+    ps = PointSet(np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert PointSet(ps) is ps
+    assert not ps.coords.flags.writeable and not ps.normed.flags.writeable
 
 
 def test_load_points_rejects_ragged_rows(tmp_path):

@@ -13,9 +13,9 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relspan.graph_core import WeightedGraph
+from relspan.graph_core import PointSet, WeightedGraph
 from relspan.harness import AttackSpec, generate_attack
-from relspan.quadtree import build_quadtree, normalize_unit
+from relspan.quadtree import build_quadtree
 from relspan.shadow import (shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
                             shadow_quadtree_candidate_sizes)
 
@@ -56,7 +56,7 @@ def test_1d_candidate_sizes_match_recomputation(n, alpha, data):
 
 @given(grid_points(), thresholds, st.data())
 def test_quadtree_candidate_sizes_match_recomputation(pts, gamma, data):
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     bad = data.draw(subsets(len(pts)))
     got = shadow_quadtree_candidate_sizes(tree, bad, gamma)
     assert got.tolist() == candidate_sizes_bruteforce(
@@ -65,11 +65,11 @@ def test_quadtree_candidate_sizes_match_recomputation(pts, gamma, data):
 
 @given(grid_points(), thresholds, st.data())
 def test_quadtree_shadow_matches_walk(pts, gamma, data):
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     bad = data.draw(subsets(len(pts)))
     res = shadow_quadtree(tree, bad, gamma)
     members, shadowed, maximal = shadow_quadtree_walk(
-        quadtree_nodes(pts, already_normalized=True), bad, gamma)
+        quadtree_nodes(pts), bad, gamma)
     assert res.members.dtype == np.int64
     assert res.members.tolist() == members
     assert res.shadowed_nodes == shadowed
@@ -97,7 +97,7 @@ def test_greedy_on_the_quadtree_matches_per_candidate_loop(pts, gamma, data):
     g = WeightedGraph.from_pairs(n, [], [], positions=pts,
                                  meta={"kind": "bounded_spread", "gamma": str(gamma),
                                        "norm_margin": 0.125})
-    tree = quadtree_nodes(normalize_unit(pts)[0], already_normalized=True)
+    tree = quadtree_nodes(PointSet(pts).normed)
     got = generate_attack(AttackSpec("greedy-shadow", k), g).tolist()
     assert got == greedy_shadow_bruteforce(
         lambda b: len(shadow_quadtree_walk(tree, b, gamma)[0]), n, k)

@@ -11,10 +11,10 @@ import relspan.spanner_euclidean
 
 # test-only helpers (they live in tests/), routines the certification
 # context replaced, the object form of the quadtree and the input checks
-# that normalize_unit's point-set contract replaced
+# and coordinate dispatch that PointSet's point-set contract replaced
 REMOVED = {
     relspan: ["BlockTree", "CanonicalWalk", "canonical_walk"],
-    relspan.graph_core: ["shortest_path_matrix"],
+    relspan.graph_core: ["shortest_path_matrix", "as_coords"],
     relspan.spanner1d: ["BlockTree", "CanonicalWalk", "canonical_walk", "coverage_totals"],
     relspan.spanner_euclidean: ["hd_rank_permutations", "_distinct_points"],
     relspan.harness: ["_greedy_objective", "_bplus_1d", "_bplus_quadtree", "_bplus_hd",

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from relspan.quadtree import (build_quadtree, build_wspd, normalize_unit, sibling_pairs,
-                              wspd_point_pair_counts)
+from relspan.graph_core import PointSet
+from relspan.quadtree import build_quadtree, build_wspd, sibling_pairs, wspd_point_pair_counts
 from relspan.spanner_euclidean import build_bounded_spread_spanner
 from relspan.streams import substream
 
@@ -29,7 +29,8 @@ def _certificate_ok(tree, u, v, s) -> bool:
 def test_normalize_margin_and_scale():
     rng = substream(0, "norm")
     pts = rng.random((50, 2)) * 100 - 30
-    normed, scale, offset = normalize_unit(pts)
+    ps = PointSet(pts)
+    normed, scale = ps.normed, ps.scale
     assert normed.min() >= 0.125 - 1e-12
     assert normed.max() < 0.875
     d_orig = np.linalg.norm(pts[3] - pts[17])
@@ -58,7 +59,7 @@ def scaled_point_sets(draw):
 
 
 def contract_outcome(pts, margin=0.125):
-    """normalize_unit's verdict recomputed row by row in Python floats:
+    """PointSet's verdict recomputed row by row in Python floats:
     "degenerate", "duplicate", "overflow", or the normalized rows."""
     rows = [tuple(r) for r in pts.tolist()]
     lo = [min(col) for col in zip(*rows)]
@@ -82,10 +83,9 @@ def test_normalize_accepts_exactly_distinct_normalized_rows(pts):
                 "overflow": "^spread overflow: "}
     if isinstance(want, str):
         with pytest.raises(ValueError, match=messages[want]):
-            normalize_unit(pts)
+            PointSet(pts)
         return
-    normed, _, _ = normalize_unit(pts)
-    assert [tuple(r) for r in normed.tolist()] == want
+    assert [tuple(r) for r in PointSet(pts).normed.tolist()] == want
     build_bounded_spread_spanner(pts, 0.5, "1/4").validate()
 
 
@@ -93,14 +93,13 @@ def test_normalize_accepts_exactly_distinct_normalized_rows(pts):
 def test_normalize_rejects_non_finite_coordinates(bad):
     pts = _points(3, 10)
     pts[4, 1] = bad
-    for check in (normalize_unit, build_quadtree):
-        with pytest.raises(ValueError, match="^point set has non-finite coordinates$"):
-            check(pts)
+    with pytest.raises(ValueError, match="^point set has non-finite coordinates$"):
+        PointSet(pts)
 
 
 def test_leaves_are_singletons_and_partition():
     pts = _points(1, 80)
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     leaf_ids = []
     for node in range(tree.pad):
         ids = _span(tree.point_ptr, tree.point_ids, node)
@@ -119,13 +118,13 @@ def test_compression_keeps_node_count_linear():
     rng = substream(2, "clusters")
     a = rng.random((20, 2)) * 1e-6 + 0.2
     b = rng.random((20, 2)) * 1e-6 + 0.7
-    tree = build_quadtree(np.vstack([a, b]), already_normalized=True)
+    tree = build_quadtree(np.vstack([a, b]))
     assert tree.pad <= 4 * 40
 
 
 def test_cell_distance():
     pts = np.array([[0.13, 0.13], [0.85, 0.85]])
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     a, b = _span(tree.child_ptr, tree.children, 0)
     d = cell_distance(tree.cell_min[a], tree.cell_size[a], tree.cell_min[b], tree.cell_size[b])
     assert d >= 0.0
@@ -133,14 +132,14 @@ def test_cell_distance():
 
 def test_wspd_two_points():
     pts = np.array([[0.2, 0.2], [0.8, 0.8]])
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     pairs = build_wspd(tree, 12.0)
     assert len(pairs) == 1
 
 
 def test_wspd_requires_positive_separation():
     pts = _points(3, 8)
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     with pytest.raises(ValueError):
         build_wspd(tree, 0.0)
 
@@ -148,7 +147,7 @@ def test_wspd_requires_positive_separation():
 @pytest.mark.parametrize("seed,n,s", [(4, 24, 2.0), (5, 48, 6.0), (6, 64, 12.0)])
 def test_wspd_covers_every_pair_exactly_once(seed, n, s):
     pts = _points(seed, n)
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     pairs = build_wspd(tree, s)
     cover = {frozenset(pq): 0 for pq in itertools.combinations(range(n), 2)}
     for u, v in zip(pairs.u.tolist(), pairs.v.tolist()):
@@ -160,7 +159,7 @@ def test_wspd_covers_every_pair_exactly_once(seed, n, s):
 
 def test_wspd_certificates_replay(seed=7):
     pts = _points(seed, 40)
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     s = 6.0
     pairs = build_wspd(tree, s)
     for u, v in zip(pairs.u.tolist(), pairs.v.tolist()):
@@ -169,7 +168,7 @@ def test_wspd_certificates_replay(seed=7):
 
 def test_wspd_membership_counts():
     pts = _points(8, 32)
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     pairs = build_wspd(tree, 4.0)
     counts = wspd_point_pair_counts(tree, pairs)
     assert counts.shape == (32,)
@@ -182,8 +181,8 @@ def test_wspd_matches_recursive_oracle(d, n, s):
     # a few close pairs as well, so that some cells have diameter 0 on one side
     pts = _points(40 + d, n, d)
     pts[1::7] = pts[::7][:len(pts[1::7])] + 1e-7
-    tree = build_quadtree(pts, already_normalized=True)
-    nodes = quadtree_nodes(pts, already_normalized=True)
+    tree = build_quadtree(pts)
+    nodes = quadtree_nodes(pts)
     pairs = build_wspd(tree, s)
     want = wspd_recursive(nodes, s)
     assert len(pairs) == len(want)
@@ -196,9 +195,9 @@ def test_wspd_matches_recursive_oracle(d, n, s):
 
 def test_sibling_pairs_in_node_order():
     pts = _points(9, 50, 3)
-    tree = build_quadtree(pts, already_normalized=True)
+    tree = build_quadtree(pts)
     want = [(node.id, a, b, node.children[a], node.children[b])
-            for node in quadtree_nodes(pts, already_normalized=True).nodes
+            for node in quadtree_nodes(pts).nodes
             for a in range(len(node.children)) for b in range(a + 1, len(node.children))]
     got = list(zip(*(arr.tolist() for arr in sibling_pairs(tree))))
     assert got == want
@@ -224,8 +223,8 @@ def quadtree_points(draw):
 
 @given(quadtree_points())
 def test_build_matches_node_oracle(pts):
-    tree = build_quadtree(pts, already_normalized=True)
-    want = quadtree_nodes(pts, already_normalized=True)
+    tree = build_quadtree(pts)
+    want = quadtree_nodes(pts)
     m = len(want.nodes)
     assert tree.pad == m and tree.n_points == len(pts)
     # node ids and cell floats bit for bit
@@ -253,4 +252,4 @@ def test_depth_error_in_both_builders():
     pts = np.array([[1e-30], [2e-30]])
     for build in (build_quadtree, quadtree_nodes):
         with pytest.raises(ValueError, match="quadtree depth exceeded"):
-            build(pts, already_normalized=True)
+            build(pts)

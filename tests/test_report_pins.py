@@ -19,10 +19,9 @@ import pytest
 
 from relspan.cli import load_graph, save_graph
 from relspan.expanders import build_reliable_connectivity
-from relspan.graph_core import WeightedGraph
+from relspan.graph_core import PointSet, WeightedGraph
 from relspan.harness import AttackSpec, certify, generate_attack
 from relspan.lso import family_size
-from relspan.quadtree import normalize_unit
 from relspan.spanner1d import build_G_theta, build_H
 from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
                                        build_hd_spanner, hd_config)
@@ -90,11 +89,11 @@ def wide_hd_graph() -> WeightedGraph:
     n = 6000
     pts = (np.arange(n) + np.random.default_rng(5).uniform(-0.3, 0.3, n))[:, None]
     cfg = hd_config(n, 1, 0.99, "0.99")
-    _, scale, offset = normalize_unit(pts, margin=NORM_MARGIN)
+    ps = PointSet(pts)
     meta = {"kind": "hd", "n": n, "d": 1, "epsilon": 0.99, "theta": "99/100",
             "variant": "improved", "c2": 16, "sigma": cfg["sigma"], "M": cfg["M"],
             "theta_prime": str(cfg["theta_prime"]), "bplus_factor": "199/100",
-            "norm_scale": scale, "norm_offset": offset.tolist(), "norm_margin": NORM_MARGIN}
+            "norm_scale": ps.scale, "norm_offset": ps.offset.tolist(), "norm_margin": NORM_MARGIN}
     return WeightedGraph.from_pairs(n, np.arange(n - 1), np.arange(1, n), positions=pts,
                                     meta=meta)
 

@@ -140,7 +140,7 @@ def test_bounds_hold_monte_carlo():
 def _tree(seed=0, n=64):
     rng = substream(seed, "tree-points")
     pts = rng.random((n, 2)) * 0.75 + 0.125
-    return build_quadtree(pts, already_normalized=True), pts
+    return build_quadtree(pts), pts
 
 
 def test_quadtree_shadow_empty():

@@ -9,7 +9,6 @@ from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, shortest_path_
 from relspan.harness import Certifier, certify
 from relspan.lso import build_ordering_family, sort_by_ordering
 from relspan.spanner1d import build_G_theta
-from relspan.quadtree import normalize_unit
 from relspan.spanner_euclidean import (NORM_MARGIN, build_bounded_spread_spanner,
                                        build_hd_spanner, hd_config, union_over_orderings)
 from relspan.streams import substream
@@ -280,13 +279,39 @@ def test_hd_stretch_no_failures():
     assert all_pairs_stretch(g) <= 1.5 * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_coordinate_extent_is_bounded_up_front(d):
+    # 20 points with extent exactly 1, scaled to the ends of the extent
+    # bound [2^-456, 2^511 / sqrt(d)]: past them the closest pair's square
+    # underflows ("duplicate points", "zero-length edge") or the largest
+    # square overflows ("non-finite edge weight")
+    base = substream(5, "tiny").random((20, d))
+    base[0], base[1, 0] = 0.0, 1.0
+    top = math.sqrt(2.0 ** 1022 / d)
+    for extent in (2.0 ** -456, top * (1 - 2.0 ** -50)):
+        pts = base * extent
+        assert PointSet(pts).spread == pytest.approx(PointSet(base).spread, rel=1e-12)
+        for build in (build_bounded_spread_spanner, build_hd_spanner):
+            g = build(pts, 0.5, "1/4")
+            g.validate()
+            rep = certify(g, [])
+            assert rep.passed and rep.bplus_size == 0
+    for extent in (2.0 ** -456 * (1 - 2.0 ** -53), top * (1 + 2.0 ** -50), 2.0 ** 512):
+        for build in (PointSet, build_bounded_spread_spanner, build_hd_spanner):
+            with pytest.raises(ValueError, match=r"^coordinate extent 2\^\S+ is outside "
+                                                 r"\[2\^-456, 2\^511 / sqrt\(d\)\]"):
+                build(base * extent, *([] if build is PointSet else [0.5, "1/4"]))
+    with pytest.raises(ValueError, match=r"^coordinate extent 2\^inf "):
+        PointSet(np.array([[-1e308], [1e308]]))
+
+
 def test_union_reconstruction_matches_builder_fast_path():
     # in the degenerate regime every ordering contributes the full rank
     # clique, so the explicit union must equal the fast-path clique
     pts = jittered_grid(4, 5, seed=9)
     g = build_hd_spanner(pts, 0.5, "1/2", seed=3, sub_c=8, sub_mode="experimental")
     n = g.n
-    normed, _, _ = normalize_unit(pts, margin=g.meta["norm_margin"])
+    normed = PointSet(pts).normed
     family = build_ordering_family(2, g.meta["sigma"])
     sink = EdgeSink(n)
     union_over_orderings(normed, family.orderings[:3], Fraction(g.meta["theta_prime"]),
@@ -346,7 +371,7 @@ def test_union_over_orderings_pinned(shape):
     """Morton orderings (one reflected in d = 2) and step orderings of the
     coarsest, a middle and the finest scale, on sparse rank graphs."""
     sigma, ids, edges, union_sha, perm_sha = UNION_PINS[shape]
-    normed, _, _ = normalize_unit(pin_grid(shape, 1), margin=NORM_MARGIN)
+    normed = PointSet(pin_grid(shape, 1)).normed
     orderings = [build_ordering_family(len(shape), sigma).orderings[i] for i in ids]
     assert {o.kind for o in orderings} == {"morton", "step"}
     n = normed.shape[0]
@@ -388,15 +413,15 @@ def test_hd_two_points_single_edge():
 def test_climb_up_reach_fraction():
     # survivors outside the cell shadow can reach, within stretch two of any
     # ancestor cell's diameter, at least a 3*xi fraction of that cell
-    from relspan.quadtree import build_quadtree, normalize_unit
+    from relspan.quadtree import build_quadtree
     from relspan.shadow import shadow_quadtree
     theta = Fraction(1, 4)
     xi = theta / 8
     gamma = 1 - theta / 2
     pts = jittered_grid(8, 8, seed=20)
     g = build_bounded_spread_spanner(pts, 0.5, theta, seed=21)
-    normed, scale, _ = normalize_unit(pts, margin=g.meta["norm_margin"])
-    tree = build_quadtree(normed, already_normalized=True)
+    ps = PointSet(pts)
+    tree = build_quadtree(ps.normed)
     rng = substream(22, "climb")
     for trial in range(3):
         bad = rng.choice(64, size=6, replace=False)
@@ -409,7 +434,7 @@ def test_climb_up_reach_fraction():
             ids = tree.point_ids[tree.point_ptr[node]:tree.point_ptr[node + 1]]
             if len(ids) < 2:
                 continue
-            reach_limit = 2.0 * tree.diameter[node] / scale  # original units
+            reach_limit = 2.0 * tree.diameter[node] / ps.scale  # original units
             for p in ids.tolist():
                 if p in bad_set or p in shadowed:
                     continue
