@@ -54,7 +54,11 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _manifest(args, params: dict, inputs: list) -> dict:
+def _manifest(args, inputs: list) -> dict:
+    """The run manifest; its params are every parsed argument but the command
+    and the output path."""
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "out") and not k.startswith("_")}
     return {
         "command": args.command,
         "argv": list(getattr(args, "_argv", [])),
@@ -99,83 +103,77 @@ def _write_json(path, payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_build(args) -> int:
+    inputs = []
     if args.target == "1d-const":
         g = build_H(args.n, as_fraction(args.xi), args.seed,
                     degree_constant_override=args.override_c)
-        params = {"n": args.n, "xi": args.xi, "seed": args.seed,
-                  "override_c": args.override_c}
-        inputs = []
     elif args.target == "1d-theta":
         g = build_G_theta(args.n, as_fraction(args.theta), c=args.c, seed=args.seed,
                           mode=args.mode, degree_constant_override=args.override_c)
-        params = {"n": args.n, "theta": args.theta, "c": args.c,
-                  "mode": args.mode, "seed": args.seed}
-        inputs = []
-        crossover = g_theta_crossover(as_fraction(args.theta), args.c)
         if g.meta["regime"] != "layered":
-            print(f"note: regime={g.meta['regime']}; layered construction needs "
-                  f"n >= {crossover} at these parameters", file=sys.stderr)
+            print(f"note: regime={g.meta['regime']}; layered construction needs n >= "
+                  f"{g_theta_crossover(as_fraction(args.theta), args.c)} at these parameters",
+                  file=sys.stderr)
     elif args.target == "hd":
-        pts = load_points(args.points)
-        g = build_hd_spanner(pts, args.eps, as_fraction(args.theta),
+        inputs = [args.points]
+        g = build_hd_spanner(load_points(args.points), args.eps, as_fraction(args.theta),
                              variant=args.variant, seed=args.seed, c2=args.c2,
                              sub_c=args.sub_c, sub_mode=args.sub_mode)
-        params = {"points": args.points, "eps": args.eps, "theta": args.theta,
-                  "variant": args.variant, "c2": args.c2, "sub_c": args.sub_c,
-                  "sub_mode": args.sub_mode, "seed": args.seed}
-        inputs = [args.points]
     else:  # bounded-spread
-        pts = load_points(args.points)
-        g = build_bounded_spread_spanner(pts, args.eps, as_fraction(args.theta),
-                                         seed=args.seed)
-        params = {"points": args.points, "eps": args.eps, "theta": args.theta,
-                  "seed": args.seed}
         inputs = [args.points]
-    save_graph(g, args.out, _manifest(args, params, inputs))
+        g = build_bounded_spread_spanner(load_points(args.points), args.eps,
+                                         as_fraction(args.theta), seed=args.seed)
+    save_graph(g, args.out, _manifest(args, inputs))
     print(f"built {g.meta['kind']}: n={g.n} edges={g.edge_count} -> {args.out}")
     return 0
 
 
+def _verify_arg(modes: tuple, samples: int):
+    """argparse type of an expander's --verify: one of modes, or sampled:k
+    for k >= 1 samples (samples when k is omitted), parsed to (mode, k), k
+    None when exhaustive."""
+    def parse(value: str) -> tuple:
+        mode, colon, k = value.partition(":")
+        if mode in modes and (not colon or (mode == "sampled" and k.isdecimal() and int(k) > 0)):
+            count = int(k) if colon else samples
+            return mode, count if mode == "sampled" else None
+        raise argparse.ArgumentTypeError(
+            f"expected {' or '.join(modes)}, or sampled:k with k >= 1; got {value!r}")
+    return parse
+
+
 def _cmd_expander(args) -> int:
-    verify_req = args.verify
+    mode, samples = args.verify or (None, None)
     if args.flavor == "bipartite":
-        if verify_req == "exhaustive":
-            g, attempts, res = build_verified_bipartite(
-                args.left, args.right, as_fraction(args.xi), args.seed,
-                max_attempts=args.max_attempts,
-                degree_constant_override=args.override_c)
+        xi = as_fraction(args.xi)
+        if mode == "exhaustive":
+            g, _, _ = build_verified_bipartite(args.left, args.right, xi, args.seed,
+                                               max_attempts=args.max_attempts,
+                                               degree_constant_override=args.override_c)
         else:
-            g = build_bipartite_expander(args.left, args.right, as_fraction(args.xi),
-                                         args.seed, degree_constant_override=args.override_c)
-            if verify_req and verify_req.startswith("sampled"):
-                k = int(verify_req.split(":")[1]) if ":" in verify_req else 200
-                sides = (np.arange(args.left), np.arange(args.left, args.left + args.right))
-                g.meta["verify"] = verify_expansion_sampled(
-                    g, sides, as_fraction(args.xi), k, seed=args.seed).as_dict()
-        params = {"left": args.left, "right": args.right, "xi": args.xi,
-                  "seed": args.seed, "verify": verify_req}
+            g = build_bipartite_expander(args.left, args.right, xi, args.seed,
+                                         degree_constant_override=args.override_c)
+        if mode == "sampled":
+            sides = (np.arange(args.left), np.arange(args.left, args.left + args.right))
+            g.meta["verify"] = verify_expansion_sampled(g, sides, xi, samples,
+                                                        seed=args.seed).as_dict()
     elif args.flavor == "strong":
-        g = build_strong_expander(args.n, args.alpha, as_fraction(args.beta),
-                                  args.seed, degree_constant_override=args.override_c)
-        if verify_req == "exhaustive":
-            g.meta["verify"] = verify_strong_expansion(
-                g, args.alpha, as_fraction(args.beta)).as_dict()
-        elif verify_req and verify_req.startswith("sampled"):
-            k = int(verify_req.split(":")[1]) if ":" in verify_req else 200
-            g.meta["verify"] = verify_strong_sampled(
-                g, args.alpha, as_fraction(args.beta), k, seed=args.seed).as_dict()
-        params = {"n": args.n, "alpha": args.alpha, "beta": args.beta,
-                  "seed": args.seed, "verify": verify_req}
+        beta = as_fraction(args.beta)
+        g = build_strong_expander(args.n, args.alpha, beta, args.seed,
+                                  degree_constant_override=args.override_c)
+        if mode == "exhaustive":
+            g.meta["verify"] = verify_strong_expansion(g, args.alpha, beta).as_dict()
+        elif mode == "sampled":
+            g.meta["verify"] = verify_strong_sampled(g, args.alpha, beta, samples,
+                                                     seed=args.seed).as_dict()
     else:  # reliable
-        g = build_reliable_connectivity(args.n, as_fraction(args.theta), args.seed,
+        theta = as_fraction(args.theta)
+        g = build_reliable_connectivity(args.n, theta, args.seed,
                                         degree_constant_override=args.override_c)
-        if verify_req and verify_req.startswith("sampled"):
-            k = int(verify_req.split(":")[1]) if ":" in verify_req else 100
-            g.meta["verify"] = verify_connectivity_sampled(
-                g, as_fraction(args.theta), k, seed=args.seed).as_dict()
-        params = {"n": args.n, "theta": args.theta, "seed": args.seed,
-                  "verify": verify_req}
-    save_graph(g, args.out, _manifest(args, params, []))
+        if mode == "sampled":
+            g.meta["verify"] = verify_connectivity_sampled(g, theta, samples,
+                                                           seed=args.seed).as_dict()
+    save_graph(g, args.out, _manifest(args, []))
     verdict = g.meta.get("verify", {}).get("passed")
     suffix = f" verify={verdict}" if verdict is not None else ""
     print(f"built {g.meta['kind']}: n={g.n} edges={g.edge_count}{suffix}")
@@ -230,9 +228,7 @@ def _cmd_certify(args) -> int:
     bad = _load_bad(args.bad, g.n) if args.bad else np.empty(0, dtype=np.int64)
     report = certify(g, bad, pair_budget=args.pairs, seed=args.seed)
     payload = report.as_dict()
-    payload["manifest"] = _manifest(args, {"graph": args.graph, "bad": args.bad,
-                                           "pairs": args.pairs, "seed": args.seed},
-                                    [args.graph, args.bad])
+    payload["manifest"] = _manifest(args, [args.graph, args.bad])
     if args.out:
         _write_json(args.out, payload)
     status = "PASS" if report.passed else "FAIL"
@@ -328,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--right", type=int, required=True)
     p.add_argument("--xi", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify", default=None)
+    p.add_argument("--verify", type=_verify_arg(("exhaustive", "sampled"), 200))
     p.add_argument("--max-attempts", type=int, default=20)
     p.add_argument("--override-c", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
@@ -337,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify", default=None)
+    p.add_argument("--verify", type=_verify_arg(("exhaustive", "sampled"), 200))
     p.add_argument("--override-c", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
     p = e.add_parser("reliable")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--verify", default=None)
+    p.add_argument("--verify", type=_verify_arg(("sampled",), 100))
     p.add_argument("--override-c", type=int, default=None)
     p.add_argument("-o", "--out", required=True)
 

@@ -12,38 +12,23 @@ expansion property holding with certainty rather than w.h.p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import EdgeSink, WeightedGraph, largest_component
+from .graph_core import EdgeSink, WeightedGraph, largest_component, vertex_ids
 from .shadow import _INT64_SAFE, as_fraction
 from .streams import rekey, subseed, substream
 
 _MAX_DRAWS = 200_000_000  # refuse sample plans beyond this many draws
 _BLOCK_BATCH = 1 << 16  # pairs handed to the sink per batch
 _BIG_BLOCK = 256  # saturated blocks of this many pairs or more: one add_block each
+_MAX_ENUM = 22  # exhaustive checks enumerate 2^|side| subsets of sides up to this size
 
 
 def bipartite_degree_constant(xi: Fraction) -> int:
     return math.ceil(Fraction(3) / (xi * xi))
-
-
-def bipartite_sample_plan(a, b, xi: Fraction, c_override: int | None = None) -> dict:
-    """Per-vertex sample counts, budget and the saturation decision for sides
-    a, b: on Python ints, or elementwise on integer arrays."""
-    c = c_override if c_override is not None else bipartite_degree_constant(xi)
-    ntot = a + b
-    ell_left = c * -(-ntot // a)
-    ell_right = c * -(-ntot // b)
-    return {
-        "c": int(c),
-        "ell_left": ell_left,
-        "ell_right": ell_right,
-        "budget": a * ell_left + b * ell_right,
-        "saturated": (ell_left >= b) & (ell_right >= a),
-    }
 
 
 def bipartite_sample_plans(a, b, xi: Fraction, c_override: int | None = None) -> dict:
@@ -56,9 +41,16 @@ def bipartite_sample_plans(a, b, xi: Fraction, c_override: int | None = None) ->
     # a * c * ceil((a + b) / a) < 2 c (a + b), and likewise on the right
     if 4 * c * (int((a + b).max(initial=0)) + 1) >= _INT64_SAFE:
         a, b = a.astype(object), b.astype(object)
-    plans = bipartite_sample_plan(a, b, xi, c)
-    plans["saturated"] = plans["saturated"].astype(bool)
-    return plans
+    ntot = a + b
+    ell_left = c * -(-ntot // a)
+    ell_right = c * -(-ntot // b)
+    return {
+        "c": int(c),
+        "ell_left": ell_left,
+        "ell_right": ell_right,
+        "budget": a * ell_left + b * ell_right,
+        "saturated": ((ell_left >= b) & (ell_right >= a)).astype(bool),
+    }
 
 
 def _batches(counts: np.ndarray):
@@ -150,7 +142,9 @@ def build_bipartite_expander(left_size: int, right_size: int, xi, seed: int = 0,
         "right_size": right_size,
         "xi": str(xi),
         "seed": seed,
-        "plan": bipartite_sample_plan(left_size, right_size, xi, degree_constant_override),
+        "plan": {key: val if key == "c" else val.tolist()[0] for key, val in
+                 bipartite_sample_plans([left_size], [right_size], xi,
+                                        degree_constant_override).items()},
         "experimental": degree_constant_override is not None,
     }
     return WeightedGraph.from_pairs(n, u, v, meta=meta)
@@ -235,46 +229,100 @@ class VerifyResult:
     neighborhood_size: int | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "mode": self.mode,
-            "checked": self.checked,
-            "violating_side": self.violating_side,
-            "violating_subset": self.violating_subset,
-            "neighborhood_size": self.neighborhood_size,
-        }
+        return asdict(self)
 
 
-def _neighbor_masks(g: WeightedGraph, side_ids: np.ndarray, other_ids: np.ndarray) -> list[int]:
-    pos_other = {int(v): i for i, v in enumerate(other_ids)}
-    masks = [0] * len(side_ids)
-    pos_side = {int(v): i for i, v in enumerate(side_ids)}
-    for a, b in zip(g.u.tolist(), g.v.tolist()):
-        if a in pos_side and b in pos_other:
-            masks[pos_side[a]] |= 1 << pos_other[b]
-        if b in pos_side and a in pos_other:
-            masks[pos_side[b]] |= 1 << pos_other[a]
-    return masks
+# A subset check runs over directions (name, side, other, min_size, violates):
+# a subset X of the ids `side` is admissible when |X| >= min_size, and fails
+# when violates(|X|, |N(X)|), with N(X) its neighbors among the ids `other`.
+# violates takes ints or int arrays alike.  Directions run in order, and the
+# first failure names its direction.
+
+def _incidence(g: WeightedGraph, side: np.ndarray, other: np.ndarray) -> tuple:
+    """(ptr, cols): the neighbors of side[i] among other, as positions in
+    other, are cols[ptr[i]:ptr[i + 1]]."""
+    side, other = vertex_ids(side, g.n), vertex_ids(other, g.n)
+    pos_side, pos_other = np.full(g.n, -1), np.full(g.n, -1)
+    pos_side[side] = np.arange(side.size)
+    pos_other[other] = np.arange(other.size)
+    rows = pos_side[np.concatenate([g.u, g.v])]
+    cols = pos_other[np.concatenate([g.v, g.u])]
+    keep = (rows >= 0) & (cols >= 0)
+    rows, cols = rows[keep], cols[keep]
+    ptr = np.zeros(side.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=side.size), out=ptr[1:])
+    return ptr, cols[np.argsort(rows, kind="stable")]
 
 
-def _union_dp(masks: list[int]) -> np.ndarray:
-    """N_or[m] = union of neighbor masks over the bits of m, by doubling."""
-    k = len(masks)
-    out = np.zeros(1 << k, dtype=np.uint64)
-    for i in range(k):
-        block = 1 << i
-        out[block:2 * block] = out[:block] | np.uint64(masks[i])
-    return out
+def _exhaustive(g: WeightedGraph, directions) -> VerifyResult:
+    """Every admissible subset of every side, by a subset-union DP; checked
+    counts them.  A failure reports the smallest violating subset: fewest
+    members, then the lowest bitmask over side positions."""
+    if max(side.size for _, side, *_ in directions) > _MAX_ENUM:
+        raise ValueError("enumeration budget exceeded")
+    incidences = [_incidence(g, side, other) for _, side, other, *_ in directions]
+    checked = 0
+    for (name, side, _, min_size, violates), (ptr, cols) in zip(directions, incidences):
+        masks = np.zeros(side.size, dtype=np.uint64)
+        np.bitwise_or.at(masks, np.repeat(np.arange(side.size), np.diff(ptr)),
+                         np.uint64(1) << cols.astype(np.uint64))
+        union = np.zeros(1 << side.size, dtype=np.uint64)  # N(X) of the bitmask X
+        for i in range(side.size):
+            union[1 << i:2 << i] = union[:1 << i] | masks[i]
+        sizes = np.bitwise_count(np.arange(union.size, dtype=np.uint64)).astype(np.int64)
+        nsizes = np.bitwise_count(union).astype(np.int64)
+        admissible = sizes >= min_size
+        bad = admissible & violates(sizes, nsizes)
+        bad[0] = False
+        checked += int(admissible.sum())
+        if bad.any():
+            worst = np.flatnonzero(bad)
+            mask = int(worst[np.argmin(sizes[worst])])
+            subset = side[np.flatnonzero(mask >> np.arange(side.size) & 1)].tolist()
+            return VerifyResult(False, "exhaustive", checked, name, subset, int(nsizes[mask]))
+    return VerifyResult(True, "exhaustive", checked)
 
 
-def _popcount(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr.astype(np.uint64)).astype(np.int64)
+def _sampled(g: WeightedGraph, directions, samples: int, rng) -> VerifyResult:
+    """samples random admissible subsets of every side, each of a size drawn
+    uniformly from [max(1, min_size), |side|], then drawn uniformly among
+    the subsets of that size; checked counts the draws."""
+    incidences = [_incidence(g, side, other) for _, side, other, *_ in directions]
+    checked = 0
+    for (name, side, other, min_size, violates), (ptr, cols) in zip(directions, incidences):
+        seen = np.zeros(other.size, dtype=bool)
+        for _ in range(samples):
+            size = int(rng.integers(max(1, min_size), side.size + 1))
+            pick = rng.choice(side.size, size=size, replace=False)
+            run, k = _spread(ptr[pick + 1] - ptr[pick])
+            seen[:] = False
+            seen[cols[ptr[pick][run] + k]] = True
+            nb = int(np.count_nonzero(seen))
+            checked += 1
+            if violates(size, nb):
+                subset = sorted(side[pick].tolist())
+                return VerifyResult(False, "sampled", checked, name, subset, nb)
+    return VerifyResult(True, "sampled", checked)
 
 
-def _smallest_violation(viol_masks: np.ndarray) -> int:
-    pops = _popcount(viol_masks)
-    best = np.lexsort((viol_masks, pops))[0]
-    return int(viol_masks[best])
+def _bipartite_directions(side_partition, xi) -> list:
+    """Both directions of the bipartite property: every X in one side with
+    |X| >= xi|side| sees more than (1 - xi)|other|."""
+    left, right = (np.asarray(s, dtype=np.int64) for s in side_partition)
+    xi = as_fraction(xi)
+    p, q = xi.numerator, xi.denominator
+    return [(name, side, other, -(-p * side.size // q),
+             lambda size, nb, limit=(q - p) * other.size: q * nb <= limit)
+            for name, side, other in (("L", left, right), ("R", right, left))]
+
+
+def _strong_directions(n: int, alpha: int, beta) -> list:
+    """|N(X)| >= min((1 - beta)n, alpha|X|) over every nonempty X."""
+    beta = as_fraction(beta)
+    p, q = beta.numerator, beta.denominator
+    ids = np.arange(n, dtype=np.int64)
+    return [(None, ids, ids, 1,
+             lambda size, nb: (nb < alpha * size) & (q * nb < (q - p) * n))]
 
 
 def verify_expansion_bruteforce(g: WeightedGraph, side_partition, xi) -> VerifyResult:
@@ -283,97 +331,26 @@ def verify_expansion_bruteforce(g: WeightedGraph, side_partition, xi) -> VerifyR
     Enumerates every X in L with |X| >= xi|L| (and symmetrically in R) via a
     subset-union DP; reports the smallest violating subset if any.
     """
-    left_ids, right_ids = (np.asarray(s, dtype=np.int64) for s in side_partition)
-    xi = as_fraction(xi)
-    if max(len(left_ids), len(right_ids)) > 22:
-        raise ValueError("enumeration budget exceeded")
-    p, q = xi.numerator, xi.denominator
-    checked = 0
-    for name, side, other in (("L", left_ids, right_ids), ("R", right_ids, left_ids)):
-        masks = _neighbor_masks(g, side, other)
-        union = _union_dp(masks)
-        sizes = _popcount(np.arange(1 << len(side), dtype=np.uint64))
-        nsizes = _popcount(union)
-        big_enough = q * sizes >= p * len(side)
-        # property demands |N(X)| strictly above (1 - xi)|other|
-        bad = big_enough & (q * nsizes <= (q - p) * len(other))
-        bad[0] = False
-        checked += int(big_enough.sum())
-        if bad.any():
-            mask = _smallest_violation(np.nonzero(bad)[0].astype(np.uint64))
-            subset = [int(side[i]) for i in range(len(side)) if mask >> i & 1]
-            nb = int(nsizes[mask])
-            return VerifyResult(False, "exhaustive", checked, name, subset, nb)
-    return VerifyResult(True, "exhaustive", checked)
+    return _exhaustive(g, _bipartite_directions(side_partition, xi))
 
 
 def verify_expansion_sampled(g: WeightedGraph, side_partition, xi, samples: int,
                              seed: int = 0) -> VerifyResult:
     """Spot-check the expansion property on random qualifying subsets."""
-    left_ids, right_ids = (np.asarray(s, dtype=np.int64) for s in side_partition)
-    xi = as_fraction(xi)
-    rng = substream(seed, "verify", "sampled")
-    checked = 0
-    for name, side, other in (("L", left_ids, right_ids), ("R", right_ids, left_ids)):
-        masks = _neighbor_masks(g, side, other)
-        min_size = max(1, math.ceil(xi * len(side)))
-        thresh = (1 - xi) * len(other)
-        for _ in range(samples):
-            size = int(rng.integers(min_size, len(side) + 1))
-            pick = rng.choice(len(side), size=size, replace=False)
-            union = 0
-            for i in pick:
-                union |= masks[int(i)]
-            checked += 1
-            if not (union.bit_count() > thresh):
-                subset = sorted(int(side[int(i)]) for i in pick)
-                return VerifyResult(False, "sampled", checked, name, subset, union.bit_count())
-    return VerifyResult(True, "sampled", checked)
+    return _sampled(g, _bipartite_directions(side_partition, xi), samples,
+                    substream(seed, "verify", "sampled"))
 
 
 def verify_strong_expansion(g: WeightedGraph, alpha: int, beta) -> VerifyResult:
     """Exhaustive check of |N(X)| >= min((1-beta)n, alpha|X|) over all X."""
-    beta = as_fraction(beta)
-    n = g.n
-    if n > 22:
-        raise ValueError("enumeration budget exceeded")
-    ids = np.arange(n, dtype=np.int64)
-    masks = _neighbor_masks(g, ids, ids)
-    union = _union_dp(masks)
-    sizes = _popcount(np.arange(1 << n, dtype=np.uint64))
-    nsizes = _popcount(union)
-    p, q = beta.numerator, beta.denominator
-    # violation: |N| < alpha|X| and q|N| < (q - p)n
-    bad = (nsizes < alpha * sizes) & (q * nsizes < (q - p) * n)
-    bad[0] = False
-    if bad.any():
-        mask = _smallest_violation(np.nonzero(bad)[0].astype(np.uint64))
-        subset = [i for i in range(n) if mask >> i & 1]
-        return VerifyResult(False, "exhaustive", (1 << n) - 1, None, subset,
-                            int(nsizes[mask]))
-    return VerifyResult(True, "exhaustive", (1 << n) - 1)
+    return _exhaustive(g, _strong_directions(g.n, alpha, beta))
 
 
 def verify_strong_sampled(g: WeightedGraph, alpha: int, beta, samples: int,
                           seed: int = 0) -> VerifyResult:
     """Spot-check |N(X)| >= min((1-beta)n, alpha|X|) on random subsets."""
-    beta = as_fraction(beta)
-    n = g.n
-    ids = np.arange(n, dtype=np.int64)
-    masks = _neighbor_masks(g, ids, ids)
-    p, q = beta.numerator, beta.denominator
-    rng = substream(seed, "verify", "strong-sampled")
-    for checked in range(1, samples + 1):
-        size = int(rng.integers(1, n + 1))
-        pick = rng.choice(n, size=size, replace=False)
-        union = 0
-        for i in pick:
-            union |= masks[int(i)]
-        nb = union.bit_count()
-        if nb < alpha * size and q * nb < (q - p) * n:
-            return VerifyResult(False, "sampled", checked, None,
-                                sorted(int(v) for v in pick), nb)
-    return VerifyResult(True, "sampled", samples)
+    return _sampled(g, _strong_directions(g.n, alpha, beta), samples,
+                    substream(seed, "verify", "strong-sampled"))
 
 
 def verify_connectivity_sampled(g: WeightedGraph, theta, samples: int,

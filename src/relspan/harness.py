@@ -251,8 +251,9 @@ class Certifier:
                 1.0 if good.size > 1 else None, max_hops)
 
     def _stretch_audit(self, bad, good, pair_budget, seed) -> tuple:
-        """Stretch audit over good pairs; all pairs when n is small, otherwise
-        a uniform sample of pair_budget pairs with the sampling seed recorded.
+        """Stretch audit over good pairs; all of them when they number at most
+        pair_budget, otherwise a uniform sample of pair_budget pairs with the
+        sampling seed recorded.
 
         Every edge weighs its Euclidean length, so a pair joined by an edge
         has stretch exactly 1 and cannot fail: it counts as checked, at
@@ -264,7 +265,7 @@ class Certifier:
         if good.size < 2:
             return [], 0, 0, {"mode": "all"}, None, None
         total_pairs = good.size * (good.size - 1) // 2
-        if g.n <= 2048 and total_pairs <= pair_budget:
+        if total_pairs <= pair_budget:
             sampling = {"mode": "all", "pairs": int(total_pairs)}
             srcs, tgts = np.triu_indices(good.size, 1)
         else:

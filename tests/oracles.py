@@ -602,6 +602,54 @@ def sample_plan_py(a: int, b: int, xi: Fraction, c_override=None) -> dict:
             "saturated": ell_left >= b and ell_right >= a}
 
 
+def subset_check_oracle(g, directions, samples: int | None = None, rng=None) -> dict:
+    """A subset check in Python sets, as VerifyResult.as_dict() reports it.
+    directions are (name, side ids, other ids, admissible(|X|), fails(|X|,
+    |N(X)|)), checked in order.  Exhaustive (samples None): every subset by
+    its bitmask over side positions, checked counting the admissible ones;
+    the reported failure has the fewest members, then the lowest bitmask.
+    Sampled: per side, samples draws of a size uniform over the admissible
+    ones, then a subset of that size, from rng."""
+    checked = 0
+    for name, side, other, admissible, fails in directions:
+        side, other = [int(v) for v in side], [int(v) for v in other]
+        where = {v: i for i, v in enumerate(other)}
+        nbrs = [set() for _ in side]
+        for i, v in enumerate(side):
+            for a, b in zip(g.u.tolist(), g.v.tolist()):
+                if v in (a, b) and (b if a == v else a) in where:
+                    nbrs[i].add(where[b if a == v else a])
+        if samples is None:
+            found = []
+            for mask in range(1 << len(side)):
+                members = [i for i in range(len(side)) if mask >> i & 1]
+                seen = set().union(*(nbrs[i] for i in members))
+                if admissible(len(members)):
+                    checked += 1
+                    if members and fails(len(members), len(seen)):
+                        found.append((len(members), mask, members, len(seen)))
+            if found:
+                _, _, members, nb = min(found)
+                return {"passed": False, "mode": "exhaustive", "checked": checked,
+                        "violating_side": name, "violating_subset": [side[i] for i in members],
+                        "neighborhood_size": nb}
+            continue
+        low = min([s for s in range(1, len(side) + 1) if admissible(s)], default=len(side) + 1)
+        for _ in range(samples):
+            size = int(rng.integers(low, len(side) + 1))
+            members = rng.choice(len(side), size=size, replace=False).tolist()
+            nb = len(set().union(*(nbrs[i] for i in members)))
+            checked += 1
+            if fails(size, nb):
+                return {"passed": False, "mode": "sampled", "checked": checked,
+                        "violating_side": name,
+                        "violating_subset": sorted(side[i] for i in members),
+                        "neighborhood_size": nb}
+    return {"passed": True, "mode": "exhaustive" if samples is None else "sampled",
+            "checked": checked, "violating_side": None, "violating_subset": None,
+            "neighborhood_size": None}
+
+
 def expander_block_oracle(mat: np.ndarray, left, right, xi: Fraction, seed: int,
                           labels: tuple, c_override=None) -> dict:
     """Mark one bipartite expander between the id lists left and right in
@@ -761,7 +809,7 @@ def stretch_audit_full(g, bad, good, pair_budget, seed) -> tuple:
     if good.size < 2:
         return [], 0, 0, {"mode": "all"}, None, None
     total_pairs = good.size * (good.size - 1) // 2
-    if g.n <= 2048 and total_pairs <= pair_budget:
+    if total_pairs <= pair_budget:
         sampling = {"mode": "all", "pairs": int(total_pairs)}
         srcs, tgts = np.triu_indices(good.size, 1)
     else:

@@ -69,6 +69,54 @@ def test_strong_and_reliable_cli(tmp_path):
                 "--seed", "3", "-o", tmp_path / "r.edges"]) == 0
 
 
+def test_manifest_records_every_parameter(tmp_path):
+    # builds that differ only in --override-c or --max-attempts must not
+    # record equal manifests
+    def params(name, argv):
+        assert run(argv + ["-o", tmp_path / name]) == 0
+        return json.loads((tmp_path / f"{name}.json").read_text())["manifest"]["params"]
+
+    theta = ["build", "1d-theta", "--n", "128", "--theta", "0.5", "--c", "8",
+             "--mode", "experimental", "--override-c"]
+    assert params("t1.edges", theta + ["1"]) == {
+        "target": "1d-theta", "n": 128, "theta": "0.5", "c": 8, "mode": "experimental",
+        "override_c": 1, "seed": 0}
+    assert params("t2.edges", theta + ["2"])["override_c"] == 2
+    assert (tmp_path / "t1.edges").read_bytes() != (tmp_path / "t2.edges").read_bytes()
+    bip = ["expander", "bipartite", "--left", "6", "--right", "6", "--xi", "1/2",
+           "--verify", "exhaustive", "--max-attempts", "3", "--override-c", "2"]
+    assert params("b.edges", bip) == {
+        "flavor": "bipartite", "left": 6, "right": 6, "xi": "1/2", "seed": 0,
+        "verify": ["exhaustive", None], "max_attempts": 3, "override_c": 2}
+
+
+@pytest.mark.parametrize("flavor,verify,checked", [
+    (["bipartite", "--left", "6", "--right", "6", "--xi", "1/2"], "sampled", 2 * 200),
+    (["bipartite", "--left", "6", "--right", "6", "--xi", "1/2"], "exhaustive", 84),
+    (["strong", "--n", "10", "--alpha", "2", "--beta", "1/2"], "sampled:7", 7),
+    (["strong", "--n", "10", "--alpha", "2", "--beta", "1/2"], "exhaustive", 1023),
+    (["reliable", "--n", "20", "--theta", "0.4"], "sampled", 100),
+    (["reliable", "--n", "20", "--theta", "0.4"], "sampled:3", 3),
+])
+def test_expander_verify_runs(tmp_path, flavor, verify, checked):
+    assert run(["expander", *flavor, "--verify", verify, "-o", tmp_path / "e.edges"]) == 0
+    meta = json.loads((tmp_path / "e.edges.json").read_text())["meta"]
+    assert meta["verify"]["checked"] == checked
+
+
+@pytest.mark.parametrize("flavor,verify", [
+    (["reliable", "--n", "20", "--theta", "0.4"], "exhaustive"),
+    (["bipartite", "--left", "6", "--right", "6", "--xi", "1/2"], "foo"),
+    (["bipartite", "--left", "6", "--right", "6", "--xi", "1/2"], "sampled:0"),
+    (["strong", "--n", "10", "--alpha", "2", "--beta", "1/2"], "exhaustive:3"),
+    (["strong", "--n", "10", "--alpha", "2", "--beta", "1/2"], "sampled:x"),
+])
+def test_expander_verify_rejects_what_the_flavor_cannot_run(tmp_path, capsys, flavor, verify):
+    assert run(["expander", *flavor, "--verify", verify, "-o", tmp_path / "e.edges"]) == 2
+    assert "argument --verify" in capsys.readouterr().err
+    assert not (tmp_path / "e.edges").exists()
+
+
 def test_shadow_1d_cli(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3\n9\n")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from relspan import expanders
-from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plan,
-                               bipartite_sample_plans, blocks_into_sink,
+from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plans,
+                               blocks_into_sink,
                                build_bipartite_expander,
                                build_reliable_connectivity, build_strong_expander,
                                build_verified_bipartite,
@@ -76,9 +76,17 @@ def test_single_vertices_single_edge():
     assert edge_set(g) == {(0, 1)}
 
 
+def block_plan(a: int, b: int, xi: Fraction, c=None) -> dict:
+    """The sample plan of one a x b block, as the bipartite builder's meta
+    records it."""
+    return {key: val if key == "c" else val.tolist()[0]
+            for key, val in bipartite_sample_plans([a], [b], xi, c).items()}
+
+
 def test_sample_plan_example():
     # sides 12+12 at xi = 1/4: c = 48, per-left-vertex draws 96, budget 2304
-    plan = bipartite_sample_plan(12, 12, Fraction(1, 4))
+    plan = block_plan(12, 12, Fraction(1, 4))
+    assert build_bipartite_expander(12, 12, "1/4").meta["plan"] == plan
     assert plan["c"] == 48
     assert plan["ell_left"] == 96
     assert plan["budget"] == 2304
@@ -95,12 +103,12 @@ def test_sample_plans_match_python_ints(xi, c):
         got = {key: plans[key] if key == "c" else plans[key][k] for key in want}
         assert {key: int(val) for key, val in got.items()} == \
             {key: int(val) for key, val in want.items()}
-        assert bipartite_sample_plan(a, b, xi, c) == want
+        assert block_plan(a, b, xi, c) == want
 
 
 def test_saturation_is_not_monotone_in_block_size():
-    assert bipartite_sample_plan(16, 33, Fraction(1, 4), 10)["saturated"]
-    assert not bipartite_sample_plan(16, 32, Fraction(1, 4), 10)["saturated"]
+    assert block_plan(16, 33, Fraction(1, 4), 10)["saturated"]
+    assert not block_plan(16, 32, Fraction(1, 4), 10)["saturated"]
 
 
 @pytest.mark.parametrize("batch", [1 << 20, 7])

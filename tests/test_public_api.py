@@ -3,6 +3,7 @@ once, every listed name resolves, and names moved out of the library stay
 out of it."""
 
 import relspan
+import relspan.expanders
 import relspan.graph_core
 import relspan.harness
 import relspan.quadtree
@@ -11,7 +12,8 @@ import relspan.spanner_euclidean
 
 # test-only helpers (they live in tests/), routines the certification
 # context replaced, the object form of the quadtree and the input checks
-# and coordinate dispatch that PointSet's point-set contract replaced
+# and coordinate dispatch that PointSet's point-set contract replaced, the
+# scalar sample plan and the verifiers' per-flavor subset machinery
 REMOVED = {
     relspan: ["BlockTree", "CanonicalWalk", "canonical_walk"],
     relspan.graph_core: ["shortest_path_matrix", "as_coords"],
@@ -20,6 +22,8 @@ REMOVED = {
     relspan.harness: ["_greedy_objective", "_bplus_1d", "_bplus_quadtree", "_bplus_hd",
                       "_certify_connectivity"],
     relspan.quadtree: ["QuadNode", "TreeArrays", "max_log2_spread"],
+    relspan.expanders: ["bipartite_sample_plan", "_neighbor_masks", "_union_dp", "_popcount",
+                        "_smallest_violation"],
 }
 
 

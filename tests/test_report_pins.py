@@ -232,3 +232,12 @@ def test_sparse_bounded_spread_reports_pinned():
 
 def test_growing_ordering_shadow_reports_pinned():
     assert wide_hd_pins() == WIDE_HD_PINS
+
+
+def test_few_good_pairs_are_audited_all_on_a_large_graph():
+    # 90 good vertices on 6000: their 4005 pairs fit the default budget, so
+    # the audit reads each once instead of drawing 10^6 pairs with repeats
+    rep = certify(wide_hd_graph(), np.arange(5900), seed=3)
+    assert (rep.bplus_size, rep.pair_sampling, rep.pairs_checked) == \
+        (5910, {"mode": "all", "pairs": 4005}, 4005)
+    assert report_sha(rep) == "a6c57ea339cc7696b642c9ef31952d6f16168fd4056d084bcdd69080e21e375a"
