@@ -25,6 +25,7 @@ _MAX_DRAWS = 200_000_000  # refuse sample plans beyond this many draws
 _BLOCK_BATCH = 1 << 16  # pairs handed to the sink per batch
 _BIG_BLOCK = 256  # saturated blocks of this many pairs or more: one add_block each
 _MAX_ENUM = 22  # exhaustive checks enumerate 2^|side| subsets of sides up to this size
+_MASK_BITS = 64  # and hold each neighborhood as a uint64 mask over the other side
 
 
 def bipartite_degree_constant(xi: Fraction) -> int:
@@ -258,7 +259,7 @@ def _exhaustive(g: WeightedGraph, directions) -> VerifyResult:
     """Every admissible subset of every side, by a subset-union DP; checked
     counts them.  A failure reports the smallest violating subset: fewest
     members, then the lowest bitmask over side positions."""
-    if max(side.size for _, side, *_ in directions) > _MAX_ENUM:
+    if any(side.size > _MAX_ENUM or other.size > _MASK_BITS for _, side, other, *_ in directions):
         raise ValueError("enumeration budget exceeded")
     incidences = [_incidence(g, side, other) for _, side, other, *_ in directions]
     checked = 0
@@ -307,9 +308,14 @@ def _sampled(g: WeightedGraph, directions, samples: int, rng) -> VerifyResult:
 
 def _bipartite_directions(side_partition, xi) -> list:
     """Both directions of the bipartite property: every X in one side with
-    |X| >= xi|side| sees more than (1 - xi)|other|."""
+    |X| >= xi|side| sees more than (1 - xi)|other|, for xi in (0, 1) and
+    nonempty, disjoint sides."""
     left, right = (np.asarray(s, dtype=np.int64) for s in side_partition)
+    if not (left.size and right.size) or np.intersect1d(left, right).size:
+        raise ValueError("bipartite sides must be nonempty and disjoint")
     xi = as_fraction(xi)
+    if not (0 < xi < 1):
+        raise ValueError("xi must be in (0, 1)")
     p, q = xi.numerator, xi.denominator
     return [(name, side, other, -(-p * side.size // q),
              lambda size, nb, limit=(q - p) * other.size: q * nb <= limit)
@@ -326,12 +332,19 @@ def _strong_directions(n: int, alpha: int, beta) -> list:
 
 
 def verify_expansion_bruteforce(g: WeightedGraph, side_partition, xi) -> VerifyResult:
-    """Exhaustively check both directions of the bipartite expansion property.
+    """Exhaustively check the bipartite expansion property, both directions.
 
-    Enumerates every X in L with |X| >= xi|L| (and symmetrically in R) via a
-    subset-union DP; reports the smallest violating subset if any.
+    Enumerates every X in L with |X| >= xi|L| via a subset-union DP and
+    reports the smallest violating subset if any; the enumeration budget
+    takes L up to 22 vertices and R up to 64.  Side R needs no pass of its
+    own, since it fails exactly when L does: if X in L has |X| >= xi|L| and
+    |N(X)| <= (1 - xi)|R|, then Y = R minus N(X) has |Y| >= xi|R|, and no
+    member of Y has a neighbor in X, so |N(Y)| <= |L| - |X| <= (1 - xi)|L|;
+    the converse is the same argument with the sides swapped.  Y is nonempty
+    because xi > 0 and R is nonempty, and Y misses X's neighbors only because
+    the sides are disjoint.
     """
-    return _exhaustive(g, _bipartite_directions(side_partition, xi))
+    return _exhaustive(g, _bipartite_directions(side_partition, xi)[:1])
 
 
 def verify_expansion_sampled(g: WeightedGraph, side_partition, xi, samples: int,
@@ -377,10 +390,12 @@ def build_verified_bipartite(left_size: int, right_size: int, xi, seed: int = 0,
     """Resample with attempt-derived seeds until exhaustive verification passes.
 
     Attempt 1 uses the caller's seed unchanged, so a verified build equals
-    the plain build when the first attempt already passes.
+    the plain build when the first attempt already passes.  Returns the last
+    attempt when none passes.
     """
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
     xi = as_fraction(xi)
-    last = None
     for attempt in range(1, max_attempts + 1):
         s = seed if attempt == 1 else subseed(seed, "attempt", attempt)
         g = build_bipartite_expander(left_size, right_size, xi, s,
@@ -390,6 +405,5 @@ def build_verified_bipartite(left_size: int, right_size: int, xi, seed: int = 0,
         g.meta["verify"] = res.as_dict()
         g.meta["attempts"] = attempt
         if res.passed:
-            return g, attempt, res
-        last = (g, attempt, res)
-    return last
+            break
+    return g, attempt, res

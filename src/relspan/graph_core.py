@@ -14,7 +14,9 @@ weights: loading recomputes them from the metric, as for any other edge list.
 
 The path oracles are Dijkstra over the alive subgraph (Euclidean stretch) and
 a batched monotone breadth-first search on the line (exact 1D paths); the
-connectivity oracle is the alive subgraph's largest component.
+connectivity oracle is the alive subgraph's largest component.  Those two
+queries import their sparse-graph routines when they first run, so the 1D
+pipeline runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 REL_TOL = 1e-9  # relative tolerance for path-length comparisons
 SAVE_CHUNK = 1 << 18  # edges formatted and written at a time by save_edges
@@ -211,7 +210,6 @@ class WeightedGraph:
             arr.setflags(write=False)
         if positions is not None:
             positions.setflags(write=False)
-        self._csr = None
 
     # -- construction ------------------------------------------------------
 
@@ -275,14 +273,6 @@ class WeightedGraph:
     @property
     def is_line(self) -> bool:
         return bool(self.meta.get("line", False))
-
-    def csr(self) -> csr_matrix:
-        if self._csr is None:
-            row = np.concatenate([self.u, self.v])
-            col = np.concatenate([self.v, self.u])
-            dat = np.concatenate([self.w, self.w])
-            self._csr = csr_matrix((dat, (row, col)), shape=(self.n, self.n))
-        return self._csr
 
     # -- invariant check (used by tests and after deserialization) ----------
 
@@ -388,21 +378,26 @@ class EdgeSink:
 # shortest paths (Euclidean stretch oracle)
 # ---------------------------------------------------------------------------
 
-def _alive_csr(g: WeightedGraph, dead: np.ndarray) -> csr_matrix:
-    if dead.size == 0:
-        return g.csr()
+def _alive_csr(g: WeightedGraph, dead: np.ndarray):
+    """The alive subgraph g - dead as a symmetric scipy CSR matrix."""
+    from scipy.sparse import csr_matrix
     dead_mask = np.zeros(g.n, dtype=bool)
     dead_mask[dead] = True
     keep = ~(dead_mask[g.u] | dead_mask[g.v])
-    row = np.concatenate([g.u[keep], g.v[keep]])
-    col = np.concatenate([g.v[keep], g.u[keep]])
-    dat = np.concatenate([g.w[keep], g.w[keep]])
-    return csr_matrix((dat, (row, col)), shape=(g.n, g.n))
+    u, v, w = g.u[keep], g.v[keep], g.w[keep]
+    return csr_matrix((np.r_[w, w], (np.r_[u, v], np.r_[v, u])), shape=(g.n, g.n))
+
+
+def _csgraph_dijkstra(alive, indices) -> np.ndarray:
+    """scipy's undirected Dijkstra on alive from the sources indices."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(alive, directed=False, indices=indices)
 
 
 def largest_component(g: WeightedGraph, dead: np.ndarray) -> np.ndarray:
     """Ascending ids of the largest connected component of g - dead (the
     lowest-labelled one on ties); empty when every vertex failed."""
+    from scipy.sparse.csgraph import connected_components
     _, labels = connected_components(_alive_csr(g, dead), directed=False)
     labels[dead] = -1
     alive = labels >= 0
@@ -417,13 +412,7 @@ def shortest_path_length(g: WeightedGraph, B, source: int) -> np.ndarray:
     Returns a length-n array; dead vertices and unreachable alive vertices
     hold +inf (the source itself holds 0).  Raises if the source failed.
     """
-    dead = clean_vertex_set(B, g.n)
-    if np.isin(source, dead):
-        raise ValueError("source in failure set")
-    dist = _csgraph_dijkstra(_alive_csr(g, dead), directed=False, indices=source)
-    if dead.size:
-        dist[dead] = np.inf
-    return dist
+    return shortest_path_pairs(g, B, np.full(g.n, source), np.arange(g.n))
 
 
 def shortest_path_pairs(g: WeightedGraph, B, s, t) -> np.ndarray:
@@ -448,7 +437,7 @@ def shortest_path_pairs(g: WeightedGraph, B, s, t) -> np.ndarray:
     alive = _alive_csr(g, dead)
     for start in range(0, sources.size, _DIJKSTRA_BLOCK):
         block = sources[start:start + _DIJKSTRA_BLOCK]
-        dist = _csgraph_dijkstra(alive, directed=False, indices=block)
+        dist = _csgraph_dijkstra(alive, indices=block)
         rows = np.repeat(np.arange(block.size), np.diff(ends[start:start + block.size + 1]))
         pairs = order[ends[start]:ends[start + block.size]]
         out[pairs] = dist[rows, t[pairs]]

@@ -38,7 +38,6 @@ from .streams import substream
 
 STRETCH_SLACK = 1.0 + 1e-9  # a pair fails only beyond (1+eps)*dist*(1+1e-9)
 FAILING_KEPT = 64  # failing pairs kept for the sample and the greedy cover
-SOURCE_BLOCK = 256  # sampled failing pairs come in blocks of this many distinct sources
 REPORTED_META = ("kind", "n", "xi", "theta", "epsilon", "mode", "regime", "variant", "M",
                  "theta_prime", "seed", "cert_alpha", "gamma", "experimental")
 
@@ -252,15 +251,15 @@ class Certifier:
 
     def _stretch_audit(self, bad, good, pair_budget, seed) -> tuple:
         """Stretch audit over good pairs; all of them when they number at most
-        pair_budget, otherwise a uniform sample of pair_budget pairs with the
-        sampling seed recorded.
+        pair_budget, otherwise the distinct pairs among pair_budget uniform
+        draws, with the draws, the distinct count and the seed recorded.
+        Either way the audited pairs (s, t) have s < t and come sorted, so
+        failing pairs come row-major.
 
         Every edge weighs its Euclidean length, so a pair joined by an edge
         has stretch exactly 1 and cannot fail: it counts as checked, at
         stretch 1.0.  Dijkstra runs only from sources with a target they are
-        not joined to, and only those pairs are read.  Failing pairs come
-        row-major over all pairs; over sampled ones they come in blocks of
-        256 distinct sources (ascending), in draw order within a block."""
+        not joined to, and only those pairs are read."""
         g = self.g
         if good.size < 2:
             return [], 0, 0, {"mode": "all"}, None, None
@@ -270,11 +269,12 @@ class Certifier:
             srcs, tgts = np.triu_indices(good.size, 1)
         else:
             rng = substream(seed, "stretch-sample")
-            sampling = {"mode": "sampled", "pairs": int(pair_budget), "seed": seed}
-            srcs = rng.integers(0, good.size, size=pair_budget)
-            tgts = rng.integers(0, good.size, size=pair_budget)
-            keep = srcs != tgts
-            srcs, tgts = srcs[keep], tgts[keep]
+            a = rng.integers(0, good.size, size=pair_budget)
+            b = rng.integers(0, good.size, size=pair_budget)
+            keys = np.unique((np.minimum(a, b) * good.size + np.maximum(a, b))[a != b])
+            srcs, tgts = np.divmod(keys, good.size)
+            sampling = {"mode": "sampled", "draws": int(pair_budget), "pairs": int(keys.size),
+                        "seed": seed}
         s, t = good[srcs], good[tgts]
         ratio = np.ones(s.size)
         far = np.flatnonzero(~self._joined(s, t))
@@ -283,11 +283,7 @@ class Certifier:
             euc = np.sqrt(((g.positions[fs] - g.positions[ft]) ** 2).sum(axis=1))
             ratio[far] = shortest_path_pairs(g, bad, fs, ft) / euc
         over = np.flatnonzero(ratio > (1.0 + g.meta["epsilon"]) * STRETCH_SLACK)
-        if over.size:
-            block = np.searchsorted(np.unique(s), s[over]) // SOURCE_BLOCK
-            kept = over[np.argsort(block, kind="stable")[:FAILING_KEPT]]
-        else:
-            kept = over
+        kept = over[:FAILING_KEPT]
         failures = list(zip(s[kept].tolist(), t[kept].tolist()))
         max_stretch = float(ratio.max()) if s.size else 0.0
         return failures, int(over.size), int(s.size), sampling, max_stretch, None

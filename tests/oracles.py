@@ -814,11 +814,12 @@ def stretch_audit_full(g, bad, good, pair_budget, seed) -> tuple:
         srcs, tgts = np.triu_indices(good.size, 1)
     else:
         rng = substream(seed, "stretch-sample")
-        sampling = {"mode": "sampled", "pairs": int(pair_budget), "seed": seed}
-        srcs = rng.integers(0, good.size, size=pair_budget)
-        tgts = rng.integers(0, good.size, size=pair_budget)
-        keep = srcs != tgts
-        srcs, tgts = srcs[keep], tgts[keep]
+        draws = zip(rng.integers(0, good.size, size=pair_budget).tolist(),
+                    rng.integers(0, good.size, size=pair_budget).tolist())
+        pairs = sorted({(min(a, b), max(a, b)) for a, b in draws if a != b})
+        sampling = {"mode": "sampled", "draws": int(pair_budget), "pairs": len(pairs),
+                    "seed": seed}
+        srcs, tgts = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     s, t = good[srcs], good[tgts]
     limit = (1.0 + g.meta["epsilon"]) * STRETCH_SLACK
     pos = g.positions

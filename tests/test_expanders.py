@@ -211,6 +211,43 @@ def test_verify_budget_guard():
     g = build_bipartite_expander(4, 4, "1/2", seed=0)
     with pytest.raises(ValueError, match="enumeration budget"):
         verify_expansion_bruteforce(g, (np.arange(30), np.arange(30, 34)), "1/2")
+    # only L is enumerated, so only L counts against the budget
+    wide = build_bipartite_expander(2, 30, "1/2", seed=0)
+    res = verify_expansion_bruteforce(wide, (np.arange(2), np.arange(2, 32)), "1/2")
+    assert (res.passed, res.checked) == (True, 3)
+
+
+def test_verify_counts_neighbors_across_the_whole_mask():
+    # neighborhoods are uint64 masks over R: every one of 64 positions
+    # counts, and a 65th vertex is refused rather than dropped
+    left, right = np.arange(2), np.arange(2, 66)
+    u = np.concatenate([np.zeros(64, dtype=np.int64), np.ones(24, dtype=np.int64)])
+    v = np.concatenate([right, right[40:]])
+    g = WeightedGraph.from_pairs(66, u, v)
+    res = verify_expansion_bruteforce(g, (left, right), "1/2")
+    assert (res.passed, res.violating_subset, res.neighborhood_size) == (False, [1], 24)
+    full = WeightedGraph.from_pairs(66, np.repeat(left, 64), np.tile(right, 2))
+    assert verify_expansion_bruteforce(full, (left, right), "1/2").passed
+    wide = WeightedGraph.from_pairs(67, np.repeat(left, 65), np.tile(np.arange(2, 67), 2))
+    with pytest.raises(ValueError, match="enumeration budget"):
+        verify_expansion_bruteforce(wide, (left, np.arange(2, 67)), "1/2")
+
+
+@pytest.mark.parametrize("verify", [
+    lambda g, sides, xi: verify_expansion_bruteforce(g, sides, xi),
+    lambda g, sides, xi: verify_expansion_sampled(g, sides, xi, 5),
+], ids=["exhaustive", "sampled"])
+@pytest.mark.parametrize("sides,xi,message", [
+    ((np.arange(5), np.arange(4, 8)), "1/2", "sides must be nonempty and disjoint"),
+    ((np.arange(8), np.arange(0)), "1/2", "sides must be nonempty and disjoint"),
+    ((np.arange(4), np.arange(4, 8)), "1", r"xi must be in \(0, 1\)"),
+])
+def test_bipartite_verifiers_check_their_preconditions(verify, sides, xi, message):
+    # the proof that R fails exactly when L does, so that the exhaustive
+    # check enumerates L only, is made for these preconditions
+    g = build_bipartite_expander(4, 4, "1/2", seed=0)
+    with pytest.raises(ValueError, match=message):
+        verify(g, sides, xi)
 
 
 def test_verified_build_reports_attempts():

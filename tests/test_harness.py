@@ -189,7 +189,13 @@ def test_failing_count_is_exact_in_stretch_audit(bs_graph, pair_budget):
                                  meta=bs_graph.meta)
     rep = certify(g, [], pair_budget=pair_budget)
     assert rep.pair_sampling["mode"] == ("all" if pair_budget > 2016 else "sampled")
-    assert rep.failing_outside == rep.pairs_checked > 64
+    if pair_budget == 500:  # the draws repeat pairs, and each is audited once
+        rng = substream(0, "stretch-sample")
+        draws = zip(rng.integers(0, 64, size=500).tolist(), rng.integers(0, 64, size=500).tolist())
+        distinct = {(min(a, b), max(a, b)) for a, b in draws if a != b}
+        assert rep.pair_sampling == {"mode": "sampled", "draws": 500, "pairs": len(distinct),
+                                     "seed": 0} and len(distinct) < 490
+    assert rep.failing_outside == rep.pairs_checked == rep.pair_sampling["pairs"] > 64
     assert len(rep.failing_sample) == 16
     assert (f"loss_greedy covers the first 64 of {rep.pairs_checked} failing pairs"
             in rep.notes)
@@ -247,8 +253,8 @@ def test_stretch_audit_sampled_mode(bs_graph):
     # a tiny pair budget forces the sampled branch; the seed is recorded
     rep = certify(bs_graph, [3, 40], pair_budget=200, seed=99)
     assert rep.pair_sampling["mode"] == "sampled"
-    assert rep.pair_sampling["seed"] == 99
-    assert rep.pairs_checked <= 200
+    assert rep.pair_sampling["seed"] == 99 and rep.pair_sampling["draws"] == 200
+    assert rep.pairs_checked == rep.pair_sampling["pairs"] <= 200
     assert rep.passed
 
 

@@ -158,10 +158,10 @@ SPARSE_BS_PINS = [
     ("4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
      "8afaeb20ad764a219276149a55457650e20270796a53b17378ace76b7630da08"),
     ("7ff3f9d049c06b273c1684dc14d8271fb7f65eb9f167c2e85a9bac7c45b57574",
-     "072ec97e5b055ab63bb955266b945365001aae29578a57b6e03fee37c02538ac"),
+     "60a63a2d9f3af179b73bc0c3183b1444f720f0080833d8ff63d9080196985136"),
 ]
 WIDE_HD_PINS = [
-    "3a6d51bfb54df8b8b24348004b53eebfaa970f104441c66f8a45ead1c4d0e159",
+    "1fe5110304407aeea262ce992cd39921791e66d79a4f0ba752522b70ed4de1c2",
     "0469fae3a0049967c981747314404688d45f7c77976b063ed887af8aa0fb463d",
 ]
 

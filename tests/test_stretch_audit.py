@@ -69,7 +69,8 @@ def test_matches_full_audit_over_several_source_blocks(pair_budget):
     assert got == expect
     failures, failing, checked, sampling, _, _ = got
     assert sampling["mode"] == ("all" if pair_budget > 10 ** 5 else "sampled")
-    assert len(failures) == 64 and failing > 640 and checked > 19_000
+    # 20,000 draws over 570 sources hold about 18,800 distinct pairs
+    assert len(failures) == 64 and failing > 640 and checked > 18_000
 
 
 @pytest.fixture
@@ -95,7 +96,8 @@ def test_complete_graph_runs_no_dijkstra(dijkstra_sources, pair_budget):
     assert dijkstra_sources == []
     assert audit == stretch_audit_full(g, bad, good, pair_budget, 1)
     failures, failing, checked, _, stretch, _ = audit
-    assert (failures, failing, stretch) == ([], 0, 1.0) and checked > 250
+    # 300 draws over 703 pairs hold 235 distinct ones
+    assert (failures, failing, stretch) == ([], 0, 1.0) and checked > 200
 
 
 def test_built_complete_graph_certifies_without_dijkstra(dijkstra_sources):

@@ -78,13 +78,13 @@ def values(res) -> tuple:
 
 
 EXHAUSTIVE_PINS = {
-    "complete8": (True, "exhaustive", 494, None, None, None),
+    "complete8": (True, "exhaustive", 247, None, None, None),
     "matching8": (False, "exhaustive", 247, "L", [0, 1], 2),
     "matching8-shuffled": (False, "exhaustive", 247, "L", [1, 6], 2),
     "random9+7": (False, "exhaustive", 466, "L", [1, 3, 4], 5),
-    "b10@1/4": (True, "exhaustive", 1936, None, None, None),
-    "b10@1/2": (True, "exhaustive", 1276, None, None, None),
-    "b10@3/4": (True, "exhaustive", 112, None, None, None),
+    "b10@1/4": (True, "exhaustive", 968, None, None, None),
+    "b10@1/2": (True, "exhaustive", 638, None, None, None),
+    "b10@3/4": (True, "exhaustive", 56, None, None, None),
 }
 
 SAMPLED_PINS = {
@@ -144,9 +144,9 @@ CONNECTIVITY_PINS = {
 }
 
 VERIFIED_PINS = {
-    "12+12/7/None": (1, True, "exhaustive", 8034, None, None, None),
-    "10+10/4/4": (1, True, "exhaustive", 1936, None, None, None),
-    "10+10/4/2": (2, True, "exhaustive", 1936, None, None, None),
+    "12+12/7/None": (1, True, "exhaustive", 4017, None, None, None),
+    "10+10/4/4": (1, True, "exhaustive", 968, None, None, None),
+    "10+10/4/2": (2, True, "exhaustive", 968, None, None, None),
 }
 
 
@@ -228,8 +228,10 @@ def test_verifiers_match_oracle(case, xi_text, seed, samples):
     bip = [(name, side, other, lambda s, k=side.size: s >= xi * k,
             lambda s, nb, k=other.size: not nb > (1 - xi) * k)
            for name, side, other in (("L", left, right), ("R", right, left))]
+    # the exhaustive check enumerates L only: R fails exactly when L does
+    assert subset_check_oracle(g, bip[1:])["passed"] == subset_check_oracle(g, bip[:1])["passed"]
     assert verify_expansion_bruteforce(g, (left, right), xi_text).as_dict() == \
-        subset_check_oracle(g, bip)
+        subset_check_oracle(g, bip[:1])
     assert verify_expansion_sampled(g, (left, right), xi, samples, seed).as_dict() == \
         subset_check_oracle(g, bip, samples, substream(seed, "verify", "sampled"))
     alpha, beta = 1 + seed, xi
