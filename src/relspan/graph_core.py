@@ -83,7 +83,7 @@ class PointSet:
 
     Construction checks, in this order, that there are at least 2 points,
     that every coordinate is finite, that the extent (the largest coordinate
-    range) is positive and in [2^-456, 2^511 / sqrt(d)], and that the
+    range) is positive and in [2^-348, 2^511 / sqrt(d)], and that the
     normalized rows are pairwise distinct, each with its own ValueError.
     Distinct normalized rows are exactly what the quadtree needs to separate
     every point, since each dyadic cell boundary it tests is exact in
@@ -94,12 +94,18 @@ class PointSet:
     The extent bound keeps the squared distances that the closest pair, the
     diameter and every edge weight come from in the float64 normal range
     [2^-1022, 2^1024).  A squared distance is at most d * extent^2 <= 2^1022.
-    Distinct normalized rows differ by at least one ulp of a value in
-    [1/8, 7/8), 2^-55, on a frame of extent 3/4, so points differ by about
-    extent * 2^-55 or more, whose square is at least 2^-1022 once the
-    extent is at least 2^(55 - 511) = 2^-456.  The exception is a pair
-    whose roundings in coords - offset and in the scaling both straddle a
-    midpoint: it passes the row check down to about extent * 2^-158.
+    At the low end, take two accepted points, a coordinate where their
+    normalized values differ, their raw values a < b there, the extent E and
+    the scale s < 3 / (4E).  Then x_a = fl(a - lo) < x_b = fl(b - lo), and
+    fl(fl(x_b * s) + 1/8) > 1/8 needs x_b * s > 2^-56, so x_b > E * 2^-55.58.
+    The floats just below x_b are sigma >= x_b * 2^-53 > E * 2^-108.58
+    apart, a power of two, and a <= r <= b for the real number
+    r = lo + x_b - sigma / 2.  If |lo| >= x_b - sigma, lo is a multiple of
+    sigma like x_b - sigma, so r is an odd multiple of sigma / 2; otherwise
+    r > sigma / 2.  Two distinct floats around r are then at least
+    sigma * 2^-54 apart, so b - a > E * 2^-162.58 (a 2-d set whose two
+    roundings both straddle a midpoint comes within rounding of it), and
+    (b - a)^2 >= 2^-1022 once E >= 2^(162.58 - 511): the floor 2^-348.
     """
 
     def __new__(cls, coords):
@@ -117,9 +123,9 @@ class PointSet:
             extent = float((coords.max(axis=0) - lo).max())
         if extent <= 0:
             raise ValueError("degenerate point set")
-        if not (2.0 ** -456 <= extent and d * extent * extent <= 2.0 ** 1022):
+        if not (2.0 ** -348 <= extent and d * extent * extent <= 2.0 ** 1022):
             raise ValueError(f"coordinate extent 2^{math.log2(extent):.2f} is outside "
-                             "[2^-456, 2^511 / sqrt(d)]: squared distances would leave "
+                             "[2^-348, 2^511 / sqrt(d)]: squared distances would leave "
                              "the float64 normal range")
         scale = (1.0 - 2.0 * NORM_MARGIN) / extent * (1.0 - 1e-12)
         normed = (coords - lo) * scale + NORM_MARGIN
@@ -406,15 +412,6 @@ def largest_component(g: WeightedGraph, dead: np.ndarray) -> np.ndarray:
     return np.flatnonzero(labels == np.argmax(np.bincount(labels[alive])))
 
 
-def shortest_path_length(g: WeightedGraph, B, source: int) -> np.ndarray:
-    """Distances from source in the subgraph induced by alive vertices.
-
-    Returns a length-n array; dead vertices and unreachable alive vertices
-    hold +inf (the source itself holds 0).  Raises if the source failed.
-    """
-    return shortest_path_pairs(g, B, np.full(g.n, source), np.arange(g.n))
-
-
 def shortest_path_pairs(g: WeightedGraph, B, s, t) -> np.ndarray:
     """dist(s[i], t[i]) in the alive subgraph for every pair i (+inf when
     t[i] is unreachable).
@@ -452,16 +449,17 @@ _SOURCE_BLOCK = 1024  # sources per block; bounds the per-block arrays to 1024 x
 _SLAB = 128  # mid vertices per slab of a hop product
 
 
-def monotone_hops(g: WeightedGraph, B, sources, hop_cap: int | None = None):
-    """Hop distances of rightward monotone paths in g - B from each source,
-    in blocks.
+def monotone_unreached(g: WeightedGraph, B, sources, hop_cap: int | None = None):
+    """What rightward monotone paths in g - B leave unreached from each
+    source, in blocks.
 
-    Yields (first, dist) for consecutive blocks of at most 1024 sources:
-    dist[i, v] is the fewest hops of a path from sources[first + i] to v
-    whose every step moves right through alive vertices, or -1 when there is
-    none within hop_cap hops (None: no cap).  The source holds 0 and may
-    itself be failed.  Monotone paths on the line telescope, so every
-    reached vertex t is at exact distance t - source.
+    Yields (first, unreached, hops) for consecutive blocks of at most 1024
+    sources: unreached[i, t] is true for every alive t > sources[first + i]
+    that no path whose every step moves right through alive vertices
+    reaches within hop_cap hops (None: no cap), and hops is the last hop at
+    which any row's reach grew (0 when none did).  A source may itself be
+    failed.  Monotone paths on the line telescope, so every reached t is at
+    exact distance t - source.
 
     The bool step matrix A (A[a, b]: edge ab steps from a to alive b) is
     built once per call.  Each block's sources are sorted once (stably;
@@ -488,21 +486,14 @@ def monotone_hops(g: WeightedGraph, B, sources, hop_cap: int | None = None):
         order = None if (src[1:] >= src[:-1]).all() else np.argsort(src, kind="stable")
         if order is not None:
             src = src[order]
-        dist = np.full((src.size, n), -1, dtype=np.int32)
-        dist[np.arange(src.size), src] = 0
         pending = (ids > src[:, None]) & alive
-        front = A[src]
+        front = A[src]  # inside pending: edges step right, into alive vertices
         step = np.empty((src.size, n), dtype=np.float32)
-        hop = 1
-        while (hop_cap is None or hop <= hop_cap) and front.any():
-            # front lies inside pending, where dist is still -1: adding
-            # hop + 1 sets hop there (without putmask's branch per entry),
-            # and xor takes front out of pending
-            dist += front * np.int32(hop + 1)
-            if hop == hop_cap:
-                break
+        hops = 0
+        while (hop_cap is None or hops < hop_cap) and front.any():
+            hops += 1
             pending ^= front
-            if not pending.any():
+            if hops == hop_cap or not pending.any():
                 break
             step[...] = 0
             for k0 in range(0, n, _SLAB):
@@ -514,27 +505,6 @@ def monotone_hops(g: WeightedGraph, B, sources, hop_cap: int | None = None):
                 step[:r1, k0 + 1:] += part.astype(np.float32) @ A[k0:k1, k0 + 1:].astype(np.float32)
             np.greater(step, 0, out=front)
             front &= pending
-            hop += 1
         if order is not None:
-            dist[order] = dist.copy()
-        yield first, dist
-
-
-def monotone_reach_1d(g: WeightedGraph, B, source: int, direction: str = "right") -> np.ndarray:
-    """All vertices t (not failed) reachable from source by a monotone path.
-
-    A leftward search is the rightward one on the mirrored graph, which
-    takes vertex v to n - 1 - v."""
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
-    n = g.n
-    source = int(vertex_ids([source], n)[0])
-    dead = clean_vertex_set(B, n)
-    if np.isin(source, dead):
-        raise ValueError("source in failure set")
-    if direction == "left":
-        g = WeightedGraph(n, n - 1 - g.v, n - 1 - g.u, g.w)
-        dead, source = n - 1 - dead, n - 1 - source
-    (_, dist), = monotone_hops(g, dead, [source])
-    reach = np.flatnonzero(dist[0] > 0)
-    return reach if direction == "right" else (n - 1 - reach)[::-1]
+            pending[order] = pending.copy()
+        yield first, pending, hops

@@ -10,12 +10,11 @@ consecutive shifted intervals at every resolution).  Both admit monotone
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import (EdgeSink, WeightedGraph, clean_vertex_set, monotone_hops,
+from .graph_core import (EdgeSink, WeightedGraph, clean_vertex_set, monotone_unreached,
                          pow2_at_least, vertex_ids)
 from .expanders import blocks_into_sink
 from .shadow import as_fraction
@@ -173,44 +172,8 @@ def g_theta_crossover(theta, c: int = 512) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact path extraction
+# the coverage audit
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PathResult:
-    found: bool
-    path: list[int]
-    hops: int
-    length: float
-
-
-def find_exact_path(g: WeightedGraph, B, s: int, t: int,
-                    hop_cap: int | None = None) -> PathResult:
-    """Monotone (hence exact-length) path from s to t in g minus B.
-
-    The breadth-first layers from s give t's hop distance; the walk back
-    from t takes, at each layer, the lowest-id predecessor on that layer,
-    which makes the path deterministic.  Absent is a value, not an error.
-    """
-    s, t = (int(x) for x in vertex_ids([s, t], g.n))
-    if s >= t:
-        raise ValueError("require s < t")
-    dead = clean_vertex_set(B, g.n)
-    if np.isin([s, t], dead).any():
-        raise ValueError("endpoint in failure set")
-    dist = next(monotone_hops(g, dead, [s], hop_cap))[1][0]
-    if dist[t] < 0:
-        return PathResult(False, [], 0, math.inf)
-    path = [t]
-    for r in range(int(dist[t]) - 1, -1, -1):
-        preds = g.u[g.v == path[-1]]
-        path.append(int(preds[dist[preds] == r].min()))
-    path.reverse()
-    length = float(sum(path[k + 1] - path[k] for k in range(len(path) - 1)))
-    if abs(length - (t - s)) > 1e-9 * max(1.0, t - s):
-        raise AssertionError("monotone path failed to telescope")
-    return PathResult(True, path, len(path) - 1, length)
-
 
 def one_path_coverage(g: WeightedGraph, B, good: np.ndarray,
                       hop_cap: int | None = None,
@@ -225,18 +188,21 @@ def one_path_coverage(g: WeightedGraph, B, good: np.ndarray,
     """
     good = vertex_ids(good, g.n)
     sources = good[good < good.max()] if good.size else good
-    ids = np.arange(g.n)
-    is_good = np.isin(ids, good)
+    is_good = np.isin(np.arange(g.n), good)
+    # the kernel leaves failed targets out of `unreached`; a good one fails
+    stray = np.intersect1d(good, clean_vertex_set(B, g.n))
     failures: list[tuple[int, int]] = []
     failing = max_hops = 0
-    for first, dist in monotone_hops(g, B, sources, hop_cap):
-        src = sources[first:first + dist.shape[0]]
-        miss = (dist < 0) & is_good & (ids > src[:, None])
+    for first, unreached, hops in monotone_unreached(g, B, sources, hop_cap):
+        src = sources[first:first + unreached.shape[0]]
+        miss = unreached & is_good
+        if stray.size:
+            miss[:, stray] = stray > src[:, None]
         count = int(np.count_nonzero(miss))
         if count and len(failures) < max_failures:
             r, t = np.nonzero(miss)
             room = max_failures - len(failures)
             failures.extend(zip(src[r[:room]].tolist(), t[:room].tolist()))
         failing += count
-        max_hops = max(max_hops, int(dist.max()))
+        max_hops = max(max_hops, hops)
     return failures, failing, max_hops

@@ -211,20 +211,20 @@ def monotone_layers_bruteforce(n: int, edges, source: int, bad=(),
     return layers
 
 
-def monotone_hops_dense(g, B, sources, hop_cap: int | None = None):
-    """graph_core.monotone_hops before the triangle kernel: every hop >= 2 is
-    the full float32 product of the frontier's rows and mid columns with
-    the step matrix's rows over the columns still pending, gathered by
-    fancy indexing.  Source blocks follow graph_core._SOURCE_BLOCK."""
-    block = graph_core._SOURCE_BLOCK
-    n = g.n
-    sources = vertex_ids(sources, n)
-    dead = clean_vertex_set(B, n)
-    alive = np.ones(n, dtype=bool)
-    alive[dead] = False
-    A = np.zeros((n, n), dtype=bool)
+def _step_matrix(g, dead) -> np.ndarray:
+    """A[a, b]: edge ab steps right from a to the alive vertex b."""
+    A = np.zeros((g.n, g.n), dtype=bool)
     A[g.u, g.v] = True
     A[:, dead] = False
+    return A
+
+
+def _hops_dense(A, dead, sources, hop_cap):
+    """monotone_hops_dense on a step matrix built once."""
+    block = graph_core._SOURCE_BLOCK
+    n = A.shape[0]
+    alive = np.ones(n, dtype=bool)
+    alive[dead] = False
     ids = np.arange(n)
     for first in range(0, sources.size, block):
         src = sources[first:first + block]
@@ -256,6 +256,105 @@ def monotone_hops_dense(g, B, sources, hop_cap: int | None = None):
             front[:, tgt] = (step > 0) & pending[:, tgt]
             hop += 1
         yield first, dist
+
+
+def monotone_hops_dense(g, B, sources, hop_cap: int | None = None):
+    """Hop distances of rightward monotone paths in g - B, in blocks of
+    graph_core._SOURCE_BLOCK sources: yields (first, dist) with dist[i, v]
+    the fewest hops from sources[first + i] to v through alive vertices,
+    0 at the source (which may be failed) and -1 when there is none within
+    hop_cap hops.  Every hop >= 2 is the full float32 product of the
+    frontier's rows and mid columns with the step matrix's rows over the
+    columns still pending, gathered by fancy indexing."""
+    dead = clean_vertex_set(B, g.n)
+    yield from _hops_dense(_step_matrix(g, dead), dead, vertex_ids(sources, g.n), hop_cap)
+
+
+def monotone_unreached_dense(g, B, sources, hop_cap: int | None = None):
+    """graph_core.monotone_unreached's blocks (first, unreached, hops) read
+    off the hop distances: the alive t > source at distance -1, and the
+    largest distance in the block."""
+    sources = vertex_ids(sources, g.n)
+    alive = np.ones(g.n, dtype=bool)
+    alive[clean_vertex_set(B, g.n)] = False
+    ids = np.arange(g.n)
+    for first, dist in monotone_hops_dense(g, B, sources, hop_cap):
+        src = sources[first:first + dist.shape[0]]
+        yield first, (dist < 0) & alive & (ids > src[:, None]), int(dist.max())
+
+
+def monotone_reach_1d(g, B, source: int, direction: str = "right") -> np.ndarray:
+    """All vertices t (not failed) reachable from source by a monotone path.
+
+    A leftward search is the rightward one on the mirrored graph, which
+    takes vertex v to n - 1 - v."""
+    if direction not in ("left", "right"):
+        raise ValueError("direction must be 'left' or 'right'")
+    n = g.n
+    source = int(vertex_ids([source], n)[0])
+    dead = clean_vertex_set(B, n)
+    if np.isin(source, dead):
+        raise ValueError("source in failure set")
+    if direction == "left":
+        g = graph_core.WeightedGraph(n, n - 1 - g.v, n - 1 - g.u, g.w)
+        dead, source = n - 1 - dead, n - 1 - source
+    (_, dist), = monotone_hops_dense(g, dead, [source])
+    reach = np.flatnonzero(dist[0] > 0)
+    return reach if direction == "right" else (n - 1 - reach)[::-1]
+
+
+@dataclass
+class PathResult:
+    found: bool
+    path: list[int]
+    hops: int
+    length: float
+
+
+def find_exact_paths(g, B, pairs, hop_cap: int | None = None) -> list[PathResult]:
+    """Monotone (hence exact-length) s-t path in g minus B for every pair
+    (s, t), on one step matrix.
+
+    The breadth-first layers from s give t's hop distance; the walk back
+    from t takes, at each layer, the lowest-id predecessor on that layer,
+    which makes the path deterministic.  Absent is a value, not an error.
+    """
+    st_ids = vertex_ids([x for pair in pairs for x in pair], g.n).reshape(-1, 2)
+    if (st_ids[:, 0] >= st_ids[:, 1]).any():
+        raise ValueError("require s < t")
+    dead = clean_vertex_set(B, g.n)
+    if np.isin(st_ids, dead).any():
+        raise ValueError("endpoint in failure set")
+    A = _step_matrix(g, dead)
+    out = []
+    for first, dist in _hops_dense(A, dead, st_ids[:, 0], hop_cap):
+        for (s, t), row in zip(st_ids[first:first + dist.shape[0]].tolist(), dist):
+            if row[t] < 0:
+                out.append(PathResult(False, [], 0, math.inf))
+                continue
+            path = [t]
+            for r in range(int(row[t]) - 1, -1, -1):
+                path.append(int(np.flatnonzero(A[:, path[-1]] & (row == r))[0]))
+            path.reverse()
+            length = float(sum(path[k + 1] - path[k] for k in range(len(path) - 1)))
+            if abs(length - (t - s)) > 1e-9 * max(1.0, t - s):
+                raise AssertionError("monotone path failed to telescope")
+            out.append(PathResult(True, path, len(path) - 1, length))
+    return out
+
+
+def find_exact_path(g, B, s: int, t: int, hop_cap: int | None = None) -> PathResult:
+    """find_exact_paths for the one pair (s, t)."""
+    return find_exact_paths(g, B, [(s, t)], hop_cap)[0]
+
+
+def shortest_path_length(g, B, source: int) -> np.ndarray:
+    """Distances from source in the subgraph induced by alive vertices.
+
+    Returns a length-n array; dead vertices and unreachable alive vertices
+    hold +inf (the source itself holds 0).  Raises if the source failed.
+    """
+    return graph_core.shortest_path_pairs(g, B, np.full(g.n, source), np.arange(g.n))
 
 
 def one_path_coverage_bruteforce(n: int, edges, bad, good, hop_cap=None,

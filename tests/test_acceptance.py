@@ -29,7 +29,7 @@ from relspan.spanner_euclidean import build_bounded_spread_spanner, build_hd_spa
 from relspan.streams import substream
 
 from helpers import h_level_budget, save_points
-from oracles import shadow_1d_bruteforce
+from oracles import find_exact_paths, shadow_1d_bruteforce
 
 pytestmark = pytest.mark.acceptance
 
@@ -154,11 +154,9 @@ def test_criterion_5_g_theta_reliability():
         assert rep.passed, (kind, k, rep.failing_sample)
         assert rep.max_hops is not None and rep.max_hops <= hop_cap
     # spot-check exact path lengths at the stated tolerance
-    from relspan.spanner1d import find_exact_path
     rng = substream(502, "c5-paths")
-    for _ in range(50):
-        s, t = sorted(rng.choice(n, size=2, replace=False).tolist())
-        res = find_exact_path(g, [], s, t, hop_cap=hop_cap)
+    pairs = [sorted(rng.choice(n, size=2, replace=False).tolist()) for _ in range(50)]
+    for (s, t), res in zip(pairs, find_exact_paths(g, [], pairs, hop_cap=hop_cap)):
         assert res.found
         assert abs(res.length - (t - s)) <= 1e-9 * (t - s)
     # faithful constants at the largest power of two with N < n

@@ -14,13 +14,13 @@ from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plans
                                reliable_connectivity_params,
                                verify_expansion_bruteforce,
                                verify_expansion_sampled, verify_strong_expansion)
-from relspan.graph_core import EdgeSink, WeightedGraph, shortest_path_length
+from relspan.graph_core import EdgeSink, WeightedGraph
 from relspan.shadow import as_fraction
 from relspan.spanner1d import build_G_theta
 from relspan.streams import substream
 
 from helpers import degrees, edge_set
-from oracles import expander_block_oracle, sample_plan_py
+from oracles import expander_block_oracle, sample_plan_py, shortest_path_length
 
 
 @dataclass

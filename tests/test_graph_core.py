@@ -6,12 +6,12 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import pdist
 
 from relspan.graph_core import (PointSet, WeightedGraph, clean_vertex_set, load_edge_list,
-                                load_points, monotone_reach_1d, shortest_path_length,
-                                shortest_path_pairs)
+                                load_points, shortest_path_pairs)
 from relspan.streams import substream
 
 from helpers import edge_set
-from oracles import floyd_warshall, monotone_reach_bruteforce, shortest_path_matrix
+from oracles import (floyd_warshall, monotone_reach_1d, monotone_reach_bruteforce,
+                     shortest_path_length, shortest_path_matrix)
 
 
 def path_graph(n):

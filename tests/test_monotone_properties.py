@@ -1,12 +1,13 @@
 """Differential property tests of the batched monotone search.
 
-one_path_coverage, find_exact_path and monotone_reach_1d against the
-pure-Python breadth-first oracles, on random line graphs with n <= 64 and
-random failure sets, good sets, hop caps and failure caps; monotone_hops
-against the dense full-product kernel, and the leftward monotone_reach_1d,
-which runs it on the mirrored graph, against the breadth-first oracle, with
-slabs and source blocks shrunk so that small graphs cross many of their
-boundaries, and at the real widths on n = 600.
+one_path_coverage against the pure-Python breadth-first oracle, on random
+line graphs with n <= 64 and random failure sets, good sets, hop caps and
+failure caps; monotone_unreached against the unreached sets and hop counts
+read off the dense full-product kernel, with slabs and source blocks shrunk
+so that small graphs cross many of their boundaries, and at the real widths
+on n = 600.  The dense kernel's path oracles, find_exact_path and
+monotone_reach_1d in both directions, are checked against the
+breadth-first oracles too.  The kernel's memory is bounded by tracemalloc.
 """
 
 import tracemalloc
@@ -18,11 +19,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from relspan import graph_core
-from relspan.graph_core import WeightedGraph, monotone_hops, monotone_reach_1d
-from relspan.spanner1d import find_exact_path, one_path_coverage
+from relspan.graph_core import WeightedGraph, monotone_unreached
+from relspan.harness import AttackSpec, generate_attack
+from relspan.spanner1d import build_G_theta, one_path_coverage
 
-from oracles import (exact_path_bruteforce, monotone_hops_dense, monotone_layers_bruteforce,
-                     monotone_reach_bruteforce, one_path_coverage_bruteforce)
+from oracles import (exact_path_bruteforce, find_exact_path, find_exact_paths,
+                     monotone_layers_bruteforce, monotone_reach_1d, monotone_reach_bruteforce,
+                     monotone_unreached_dense, one_path_coverage_bruteforce)
 
 hop_caps = st.none() | st.integers(0, 6)
 
@@ -67,23 +70,25 @@ def test_exact_path_matches_oracle(case, data, hop_cap):
     alive = sorted(set(range(g.n)) - set(bad))
     if len(alive) < 2:
         return
-    s, t = sorted(data.draw(st.lists(st.sampled_from(alive), min_size=2, max_size=2,
-                                     unique=True)))
-    res = find_exact_path(g, bad, s, t, hop_cap)
-    layers = monotone_layers_bruteforce(g.n, edges, s, bad, hop_cap)
-    hops = next((k for k, layer in enumerate(layers) if t in layer), None)
-    assert res.found == (hops is not None)
-    assert res.hops == (hops or 0)
-    assert res.path == exact_path_bruteforce(g.n, edges, s, t, bad, hop_cap)
+    pair = st.lists(st.sampled_from(alive), min_size=2, max_size=2, unique=True).map(sorted)
+    pairs = data.draw(st.lists(pair, min_size=1, max_size=4))
+    for (s, t), res in zip(pairs, find_exact_paths(g, bad, pairs, hop_cap)):
+        assert res == find_exact_path(g, bad, s, t, hop_cap)
+        layers = monotone_layers_bruteforce(g.n, edges, s, bad, hop_cap)
+        hops = next((k for k, layer in enumerate(layers) if t in layer), None)
+        assert res.found == (hops is not None)
+        assert res.hops == (hops or 0)
+        assert res.path == exact_path_bruteforce(g.n, edges, s, t, bad, hop_cap)
 
 
-def assert_same_hops(g, bad, sources, hop_cap):
-    got = list(monotone_hops(g, bad, sources, hop_cap))
-    want = list(monotone_hops_dense(g, bad, sources, hop_cap))
-    assert [first for first, _ in got] == [first for first, _ in want]
-    for (_, dist), (_, expect) in zip(got, want):
-        assert dist.dtype == expect.dtype
-        np.testing.assert_array_equal(dist, expect)
+def assert_same_unreached(g, bad, sources, hop_cap):
+    got = list(monotone_unreached(g, bad, sources, hop_cap))
+    want = list(monotone_unreached_dense(g, bad, sources, hop_cap))
+    assert [first for first, _, _ in got] == [first for first, _, _ in want]
+    for (_, unreached, hops), (_, expect, expect_hops) in zip(got, want):
+        assert unreached.dtype == bool
+        np.testing.assert_array_equal(unreached, expect)
+        assert hops == expect_hops
 
 
 def assert_same_left_reach(g, bad, sources):
@@ -99,7 +104,7 @@ def test_hops_match_dense_kernel_across_slabs(case, data, hop_cap, slab, block):
     sources = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=3 * g.n))
     with mock.patch.object(graph_core, "_SLAB", slab), \
             mock.patch.object(graph_core, "_SOURCE_BLOCK", block):
-        assert_same_hops(g, bad, sources, hop_cap)
+        assert_same_unreached(g, bad, sources, hop_cap)
         assert_same_left_reach(g, bad, sources)
 
 
@@ -113,8 +118,17 @@ def test_hops_match_dense_kernel_at_full_width(density):
     bad = rng.choice(n, size=n // 10, replace=False)
     sources = rng.integers(0, n, size=1500)
     for hop_cap in (None, 1, 2):
-        assert_same_hops(g, bad, sources, hop_cap)
+        assert_same_unreached(g, bad, sources, hop_cap)
     assert_same_left_reach(g, bad, sources[:20])
+
+
+def traced(run):
+    """run()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_hops_make_no_n_by_n_float32_copy():
@@ -124,12 +138,21 @@ def test_hops_make_no_n_by_n_float32_copy():
     keep = rng.random(u.size) < 0.01
     g = WeightedGraph.from_pairs(n, u[keep], v[keep], line=True)
     sources = np.sort(rng.choice(n, size=64, replace=False))
-    tracemalloc.start()
-    try:
-        hops = [dist.max() for _, dist in monotone_hops(g, [], sources)]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    hops, peak = traced(lambda: [h for _, _, h in monotone_unreached(g, [], sources)])
     assert max(hops) >= 2  # products ran
     # the bool step matrix takes n^2 bytes; a float32 copy of it would add 4 n^2
     assert peak < 2 * n * n
+
+
+@pytest.mark.parametrize("k", [0, 64])
+def test_full_source_block_stays_under_ten_n_squared(k):
+    # the line benchmark graph: one block of 1023 sources, every good pair
+    n = 1024
+    g = build_G_theta(n, "1/2", c=8, seed=7, mode="experimental", degree_constant_override=1)
+    bad = generate_attack(AttackSpec("random", k, seed=8), g)
+    good = np.setdiff1d(np.arange(n), bad)
+    (_, _, max_hops), peak = traced(lambda: one_path_coverage(g, bad, good, g.meta["hop_cap"]))
+    assert max_hops >= 2  # products ran
+    # the step matrix, the float32 products and the bool reach masks of one
+    # block; int32 hop distances would add another 4 n^2
+    assert peak < 10 * n * n

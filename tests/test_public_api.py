@@ -15,9 +15,12 @@ import relspan.spanner_euclidean
 # and coordinate dispatch that PointSet's point-set contract replaced, the
 # scalar sample plan and the verifiers' per-flavor subset machinery
 REMOVED = {
-    relspan: ["BlockTree", "CanonicalWalk", "canonical_walk"],
-    relspan.graph_core: ["shortest_path_matrix", "as_coords"],
-    relspan.spanner1d: ["BlockTree", "CanonicalWalk", "canonical_walk", "coverage_totals"],
+    relspan: ["BlockTree", "CanonicalWalk", "canonical_walk", "find_exact_path", "PathResult",
+              "monotone_reach_1d", "shortest_path_length", "monotone_hops"],
+    relspan.graph_core: ["shortest_path_matrix", "as_coords", "monotone_reach_1d",
+                         "shortest_path_length", "monotone_hops"],
+    relspan.spanner1d: ["BlockTree", "CanonicalWalk", "canonical_walk", "coverage_totals",
+                        "find_exact_path", "PathResult", "monotone_hops"],
     relspan.spanner_euclidean: ["hd_rank_permutations", "_distinct_points"],
     relspan.harness: ["_greedy_objective", "_bplus_1d", "_bplus_quadtree", "_bplus_hd",
                       "_certify_connectivity"],

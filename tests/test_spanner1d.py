@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relspan.graph_core import monotone_reach_1d, pow2_at_least
+from relspan.graph_core import pow2_at_least
 from relspan.shadow import shadow_1d
-from relspan.spanner1d import (build_G_theta, build_H, find_exact_path, g_theta_crossover,
-                               one_path_coverage, shift_start, shifted_interval_params)
+from relspan.spanner1d import (build_G_theta, build_H, g_theta_crossover, one_path_coverage,
+                               shift_start, shifted_interval_params)
 from relspan.streams import substream
 
 from helpers import edge_set, graph_sha256, h_level_budget
-from oracles import build_G_theta_oracle, build_H_oracle
+from oracles import build_G_theta_oracle, build_H_oracle, find_exact_path, monotone_reach_1d
 
 
 def test_pow2():

@@ -282,13 +282,13 @@ def test_hd_stretch_no_failures():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_coordinate_extent_is_bounded_up_front(d):
     # 20 points with extent exactly 1, scaled to the ends of the extent
-    # bound [2^-456, 2^511 / sqrt(d)]: past them the closest pair's square
+    # bound [2^-348, 2^511 / sqrt(d)]: past them the closest pair's square
     # underflows ("duplicate points", "zero-length edge") or the largest
     # square overflows ("non-finite edge weight")
     base = substream(5, "tiny").random((20, d))
     base[0], base[1, 0] = 0.0, 1.0
     top = math.sqrt(2.0 ** 1022 / d)
-    for extent in (2.0 ** -456, top * (1 - 2.0 ** -50)):
+    for extent in (2.0 ** -348, top * (1 - 2.0 ** -50)):
         pts = base * extent
         assert PointSet(pts).spread == pytest.approx(PointSet(base).spread, rel=1e-12)
         for build in (build_bounded_spread_spanner, build_hd_spanner):
@@ -296,13 +296,48 @@ def test_coordinate_extent_is_bounded_up_front(d):
             g.validate()
             rep = certify(g, [])
             assert rep.passed and rep.bplus_size == 0
-    for extent in (2.0 ** -456 * (1 - 2.0 ** -53), top * (1 + 2.0 ** -50), 2.0 ** 512):
+    for extent in (2.0 ** -348 * (1 - 2.0 ** -53), top * (1 + 2.0 ** -50), 2.0 ** 512):
         for build in (PointSet, build_bounded_spread_spanner, build_hd_spanner):
             with pytest.raises(ValueError, match=r"^coordinate extent 2\^\S+ is outside "
-                                                 r"\[2\^-456, 2\^511 / sqrt\(d\)\]"):
+                                                 r"\[2\^-348, 2\^511 / sqrt\(d\)\]"):
                 build(base * extent, *([] if build is PointSet else [0.5, "1/4"]))
     with pytest.raises(ValueError, match=r"^coordinate extent 2\^inf "):
         PointSet(np.array([[-1e308], [1e308]]))
+
+
+def test_pair_whose_square_underflows_is_rejected():
+    # extent 2^-456: -x0 sets the offset, and prev(u/2) and next(u/2), with
+    # u = ulp(x0), round to x0 and x0 + u in coords - offset, which the
+    # scaling rounds to different rows; the two lie 1.5 * 2^-615 apart, so
+    # their squared gap underflows to 0 and the bounded-spread build would
+    # divide by the zero closest pair
+    pts = np.array([[float.fromhex(h)] for h in (
+        "-0x1.0000000001197p-510", "0x1.fffffffffffffp-457",
+        "0x1.fffffffffffffp-564", "0x1.0000000000001p-563")])
+    assert (pts[3, 0] - pts[2, 0]) ** 2 == 0.0
+    for build in (PointSet, build_bounded_spread_spanner, build_hd_spanner):
+        with pytest.raises(ValueError, match=r"^coordinate extent 2\^-456\.00 is outside "
+                                             r"\[2\^-348, "):
+            build(pts, *([] if build is PointSet else [0.5, "1/4"]))
+
+
+def test_closest_pair_at_the_extent_floor_keeps_a_normal_square():
+    # the closest pair the floor's derivation allows, up to rounding: the
+    # last two points round to either side of the midpoint just below
+    # 2^-403 in coords - offset, which the scaling puts on either side of
+    # 1/8 + 2^-56; they lie E * 2^-162.58 apart at extent E = 1.5 * 2^-348
+    pts = np.array([[float.fromhex(h) for h in row] for row in (
+        ("-0x1.fffffffffffffp-404", "0x1.7ffffffffe59ap-349"),
+        ("0x1.7ffffffffe59ap-348", "0x0p+0"),
+        ("0x1.fffffffffffffp-458", "0x0p+0"),
+        ("0x1.0000000000000p-457", "0x0p+0"))])
+    ps = PointSet(pts)
+    extent = pts[1, 0] - pts[0, 0]
+    assert ps.closest_pair == 2.0 ** -510 == pts[3, 0] - pts[2, 0]
+    assert math.log2(ps.closest_pair / extent) == pytest.approx(math.log2(4 / 3) - 163, abs=1e-9)
+    assert ps.closest_pair ** 2 >= 2.0 ** -1022
+    for build in (build_bounded_spread_spanner, build_hd_spanner):
+        build(ps, 0.5, "1/4").validate()
 
 
 def test_union_reconstruction_matches_builder_fast_path():
