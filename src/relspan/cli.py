@@ -23,12 +23,12 @@ from .expanders import (build_bipartite_expander, build_reliable_connectivity,
                         build_strong_expander, build_verified_bipartite,
                         verify_connectivity_sampled, verify_expansion_sampled,
                         verify_strong_expansion, verify_strong_sampled)
-from .graph_core import WeightedGraph, clean_vertex_set, load_edge_list, load_points
+from .graph_core import WeightedGraph, at_least, clean_vertex_set, load_edge_list, load_points
 from .harness import AttackSpec, certify, generate_attack, loss_curve, write_loss_csv
 from .lso import build_ordering_family, check_lso_property
 from .quadtree import build_quadtree
-from .shadow import (as_fraction, check_shadow_bounds, cone_mark_unsafe,
-                     shadow_1d, shadow_balls_oracle, shadow_quadtree)
+from .shadow import (check_shadow_bounds, cone_mark_unsafe, shadow_1d, shadow_balls_oracle,
+                     shadow_quadtree)
 from .spanner1d import build_G_theta, build_H, g_theta_crossover
 from .spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
 from .streams import substream
@@ -105,24 +105,23 @@ def _write_json(path, payload: dict) -> None:
 def _cmd_build(args) -> int:
     inputs = []
     if args.target == "1d-const":
-        g = build_H(args.n, as_fraction(args.xi), args.seed,
-                    degree_constant_override=args.override_c)
+        g = build_H(args.n, args.xi, args.seed, degree_constant_override=args.override_c)
     elif args.target == "1d-theta":
-        g = build_G_theta(args.n, as_fraction(args.theta), c=args.c, seed=args.seed,
+        g = build_G_theta(args.n, args.theta, c=args.c, seed=args.seed,
                           mode=args.mode, degree_constant_override=args.override_c)
         if g.meta["regime"] != "layered":
             print(f"note: regime={g.meta['regime']}; layered construction needs n >= "
-                  f"{g_theta_crossover(as_fraction(args.theta), args.c)} at these parameters",
+                  f"{g_theta_crossover(args.theta, args.c)} at these parameters",
                   file=sys.stderr)
     elif args.target == "hd":
         inputs = [args.points]
-        g = build_hd_spanner(load_points(args.points), args.eps, as_fraction(args.theta),
+        g = build_hd_spanner(load_points(args.points), args.eps, args.theta,
                              variant=args.variant, seed=args.seed, c2=args.c2,
                              sub_c=args.sub_c, sub_mode=args.sub_mode)
     else:  # bounded-spread
         inputs = [args.points]
         g = build_bounded_spread_spanner(load_points(args.points), args.eps,
-                                         as_fraction(args.theta), seed=args.seed)
+                                         args.theta, seed=args.seed)
     save_graph(g, args.out, _manifest(args, inputs))
     print(f"built {g.meta['kind']}: n={g.n} edges={g.edge_count} -> {args.out}")
     return 0
@@ -145,33 +144,30 @@ def _verify_arg(modes: tuple, samples: int):
 def _cmd_expander(args) -> int:
     mode, samples = args.verify or (None, None)
     if args.flavor == "bipartite":
-        xi = as_fraction(args.xi)
         if mode == "exhaustive":
-            g, _, _ = build_verified_bipartite(args.left, args.right, xi, args.seed,
+            g, _, _ = build_verified_bipartite(args.left, args.right, args.xi, args.seed,
                                                max_attempts=args.max_attempts,
                                                degree_constant_override=args.override_c)
         else:
-            g = build_bipartite_expander(args.left, args.right, xi, args.seed,
+            g = build_bipartite_expander(args.left, args.right, args.xi, args.seed,
                                          degree_constant_override=args.override_c)
         if mode == "sampled":
             sides = (np.arange(args.left), np.arange(args.left, args.left + args.right))
-            g.meta["verify"] = verify_expansion_sampled(g, sides, xi, samples,
+            g.meta["verify"] = verify_expansion_sampled(g, sides, args.xi, samples,
                                                         seed=args.seed).as_dict()
     elif args.flavor == "strong":
-        beta = as_fraction(args.beta)
-        g = build_strong_expander(args.n, args.alpha, beta, args.seed,
+        g = build_strong_expander(args.n, args.alpha, args.beta, args.seed,
                                   degree_constant_override=args.override_c)
         if mode == "exhaustive":
-            g.meta["verify"] = verify_strong_expansion(g, args.alpha, beta).as_dict()
+            g.meta["verify"] = verify_strong_expansion(g, args.alpha, args.beta).as_dict()
         elif mode == "sampled":
-            g.meta["verify"] = verify_strong_sampled(g, args.alpha, beta, samples,
+            g.meta["verify"] = verify_strong_sampled(g, args.alpha, args.beta, samples,
                                                      seed=args.seed).as_dict()
     else:  # reliable
-        theta = as_fraction(args.theta)
-        g = build_reliable_connectivity(args.n, theta, args.seed,
+        g = build_reliable_connectivity(args.n, args.theta, args.seed,
                                         degree_constant_override=args.override_c)
         if mode == "sampled":
-            g.meta["verify"] = verify_connectivity_sampled(g, theta, samples,
+            g.meta["verify"] = verify_connectivity_sampled(g, args.theta, samples,
                                                            seed=args.seed).as_dict()
     save_graph(g, args.out, _manifest(args, []))
     verdict = g.meta.get("verify", {}).get("passed")
@@ -183,8 +179,7 @@ def _cmd_expander(args) -> int:
 def _cmd_shadow(args) -> int:
     if args.variant == "1d":
         bad = _load_bad(args.bad, args.n)
-        res = shadow_1d(args.n, bad, as_fraction(args.alpha), side=args.side,
-                        witness=True)
+        res = shadow_1d(args.n, bad, args.alpha, side=args.side, witness=True)
         payload = {
             "members": res.members,
             "witnesses": {int(k): list(v) for k, v in (res.witnesses or {}).items()},
@@ -194,19 +189,19 @@ def _cmd_shadow(args) -> int:
         pts = load_points(args.points)
         bad = _load_bad(args.bad, pts.n)
         tree = build_quadtree(pts.normed)
-        res = shadow_quadtree(tree, bad, as_fraction(args.gamma))
+        res = shadow_quadtree(tree, bad, args.gamma)
         payload = {"members": res.members,
                    "shadowed_nodes": res.shadowed_nodes,
                    "maximal_nodes": res.maximal_nodes}
     elif args.variant == "balls":
         pts = load_points(args.points)
         bad = _load_bad(args.bad, pts.n)
-        res = shadow_balls_oracle(pts.coords, bad, as_fraction(args.alpha))
+        res = shadow_balls_oracle(pts.coords, bad, args.alpha)
         payload = {"members": res.members}
     else:  # cones
         pts = load_points(args.points)
         bad = _load_bad(args.bad, pts.n)
-        unsafe = cone_mark_unsafe(pts.coords, bad, as_fraction(args.alpha))
+        unsafe = cone_mark_unsafe(pts.coords, bad, args.alpha)
         payload = {"members": unsafe}
     _write_json(args.out, payload)
     print(f"shadow {args.variant}: {len(payload['members'])} members -> {args.out}")
@@ -259,6 +254,7 @@ def _cmd_lso(args) -> int:
               f"offset band [{shape['band'][0]:.2f}, {shape['band'][1]:.2f}]")
         return 0
     # check
+    at_least(args.pairs, "pairs", 1)
     pts = load_points(args.points)
     family = build_ordering_family(pts.d, args.sigma)
     rng = substream(args.seed, "lso-cli")
@@ -434,7 +430,7 @@ def dispatch(argv) -> int:
     args._argv = list(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

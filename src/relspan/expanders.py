@@ -17,8 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import EdgeSink, WeightedGraph, largest_component, vertex_ids
-from .shadow import _INT64_SAFE, as_fraction
+from .graph_core import (_INT64_SAFE, EdgeSink, WeightedGraph, as_fraction, at_least,
+                         fraction_in, largest_component, vertex_ids)
 from .streams import rekey, subseed, substream
 
 _MAX_DRAWS = 200_000_000  # refuse sample plans beyond this many draws
@@ -36,7 +36,8 @@ def bipartite_sample_plans(a, b, xi: Fraction, c_override: int | None = None) ->
     """Per-vertex sample counts, budgets and saturation for the blocks with
     sides a[i] x b[i], as arrays.  Exact: int64 while every budget stays
     below 2^62, Python ints (dtype object) above."""
-    c = c_override if c_override is not None else bipartite_degree_constant(xi)
+    c = (at_least(c_override, "degree_constant_override", 1) if c_override is not None
+         else bipartite_degree_constant(xi))
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     # a * c * ceil((a + b) / a) < 2 c (a + b), and likewise on the right
@@ -46,7 +47,7 @@ def bipartite_sample_plans(a, b, xi: Fraction, c_override: int | None = None) ->
     ell_left = c * -(-ntot // a)
     ell_right = c * -(-ntot // b)
     return {
-        "c": int(c),
+        "c": c,
         "ell_left": ell_left,
         "ell_right": ell_right,
         "budget": a * ell_left + b * ell_right,
@@ -127,11 +128,9 @@ def build_bipartite_expander(left_size: int, right_size: int, xi, seed: int = 0,
     Any subset holding at least a xi fraction of one side sees more than a
     (1 - xi) fraction of the other.  Callers re-weight edges by their metric.
     """
-    if left_size < 1 or right_size < 1:
-        raise ValueError("both sides must be nonempty")
-    xi = as_fraction(xi)
-    if not (0 < xi < 1):
-        raise ValueError("xi must be in (0, 1)")
+    at_least(left_size, "left_size", 1)
+    at_least(right_size, "right_size", 1)
+    xi = fraction_in(xi, "xi")
     n = left_size + right_size
     sink = EdgeSink(n)
     blocks_into_sink(sink, np.arange(n), [0], [left_size], [left_size], [right_size], xi, seed,
@@ -160,23 +159,19 @@ def build_strong_expander(n: int, alpha: int, beta, seed: int = 0,
     """Vertex expander: every set X sees at least min((1-beta)n, alpha|X|)
     neighbors.  Each vertex samples its neighbors uniformly with repetition;
     self-loops are dropped."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if int(alpha) != alpha or alpha <= 1:
-        raise ValueError("alpha must be an integer > 1")
-    beta = as_fraction(beta)
-    if not (0 < beta < 1):
-        raise ValueError("beta must be in (0, 1)")
-    c = degree_constant_override if degree_constant_override is not None \
-        else strong_degree_constant(int(alpha), beta)
+    at_least(n, "n", 2)
+    alpha = at_least(alpha, "alpha", 2)
+    beta = fraction_in(beta, "beta")
+    c = (at_least(degree_constant_override, "degree_constant_override", 1)
+         if degree_constant_override is not None else strong_degree_constant(alpha, beta))
     meta = {
         "kind": "strong_expander",
         "n": n,
-        "alpha": int(alpha),
+        "alpha": alpha,
         "beta": str(beta),
-        "c": int(c),
+        "c": c,
         "seed": seed,
-        "budget": int(c) * n,
+        "budget": c * n,
         "experimental": degree_constant_override is not None,
     }
     if c >= n:
@@ -205,9 +200,7 @@ def build_reliable_connectivity(n: int, theta, seed: int = 0,
                                 degree_constant_override: int | None = None) -> WeightedGraph:
     """Graph such that deleting any B leaves a connected component of size
     at least n - (1 + theta)|B|."""
-    theta = as_fraction(theta)
-    if not (0 < theta < Fraction(1, 2)):
-        raise ValueError("theta must be in (0, 1/2)")
+    theta = fraction_in(theta, "theta", hi="1/2")
     alpha, beta = reliable_connectivity_params(theta)
     g = build_strong_expander(n, alpha, beta, seed=seed,
                               degree_constant_override=degree_constant_override)
@@ -313,9 +306,7 @@ def _bipartite_directions(side_partition, xi) -> list:
     left, right = (np.asarray(s, dtype=np.int64) for s in side_partition)
     if not (left.size and right.size) or np.intersect1d(left, right).size:
         raise ValueError("bipartite sides must be nonempty and disjoint")
-    xi = as_fraction(xi)
-    if not (0 < xi < 1):
-        raise ValueError("xi must be in (0, 1)")
+    xi = fraction_in(xi, "xi")
     p, q = xi.numerator, xi.denominator
     return [(name, side, other, -(-p * side.size // q),
              lambda size, nb, limit=(q - p) * other.size: q * nb <= limit)
@@ -324,7 +315,7 @@ def _bipartite_directions(side_partition, xi) -> list:
 
 def _strong_directions(n: int, alpha: int, beta) -> list:
     """|N(X)| >= min((1 - beta)n, alpha|X|) over every nonempty X."""
-    beta = as_fraction(beta)
+    beta = fraction_in(beta, "beta")
     p, q = beta.numerator, beta.denominator
     ids = np.arange(n, dtype=np.int64)
     return [(None, ids, ids, 1,
@@ -367,12 +358,13 @@ def verify_strong_sampled(g: WeightedGraph, alpha: int, beta, samples: int,
 
 
 def verify_connectivity_sampled(g: WeightedGraph, theta, samples: int,
-                                seed: int = 0, k: int | None = None) -> VerifyResult:
-    """Random deletion trials: the largest surviving component must miss at
-    most (1+theta)|B| vertices."""
-    theta = as_fraction(theta)
+                                seed: int = 0) -> VerifyResult:
+    """Random deletion trials, each failing k = max(1, n // 10) uniform
+    vertices: the largest surviving component must miss at most
+    (1+theta)|B| vertices."""
+    theta = fraction_in(theta, "theta", hi="1/2")
     n = g.n
-    k = k if k is not None else max(1, n // 10)
+    k = max(1, n // 10)
     rng = substream(seed, "verify", "reliable-sampled")
     for checked in range(1, samples + 1):
         bad = rng.choice(n, size=k, replace=False)
@@ -393,9 +385,7 @@ def build_verified_bipartite(left_size: int, right_size: int, xi, seed: int = 0,
     the plain build when the first attempt already passes.  Returns the last
     attempt when none passes.
     """
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be at least 1, got {max_attempts}")
-    xi = as_fraction(xi)
+    at_least(max_attempts, "max_attempts", 1)
     for attempt in range(1, max_attempts + 1):
         s = seed if attempt == 1 else subseed(seed, "attempt", attempt)
         g = build_bipartite_expander(left_size, right_size, xi, s,

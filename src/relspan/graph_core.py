@@ -1,5 +1,8 @@
 """Shared graph/point data model and the path oracles used by every verifier.
 
+Parameters meet one contract: a ratio is checked by fraction_in and an
+integer by at_least, each raising a ValueError that names the parameter.
+
 Vertex ids are 0-based everywhere.  For graphs on the integer line, vertex i
 sits at position i, so the gap weight of an edge (u, v) is |u - v|.  Graphs
 are immutable after construction: edge arrays are canonicalized (u < v,
@@ -22,7 +25,9 @@ pipeline runs on numpy alone.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
@@ -32,6 +37,46 @@ REL_TOL = 1e-9  # relative tolerance for path-length comparisons
 SAVE_CHUNK = 1 << 18  # edges formatted and written at a time by save_edges
 MAX_N = math.isqrt(2 ** 63 - 1)  # from_pairs keys an edge lo * n + hi < n^2 in int64
 _DIJKSTRA_BLOCK = 256  # Dijkstra sources per block; bounds a block's rows to 256 x n
+_INT64_SAFE = 1 << 62  # exact ratio arithmetic stays in int64 while products stay below this
+
+
+# ---------------------------------------------------------------------------
+# the parameter contract
+# ---------------------------------------------------------------------------
+
+def as_fraction(value) -> Fraction:
+    """Exact value of a Fraction, int, str ("1/96", "0.25") or float.
+
+    Floats are interpreted through their shortest decimal form, which is what
+    the caller typed in every practical case.
+    """
+    if isinstance(value, float):
+        return Fraction(repr(value))
+    if isinstance(value, (Fraction, int, str)):
+        return Fraction(value)
+    raise TypeError(f"cannot interpret {value!r} as an exact fraction")
+
+
+def fraction_in(value, name: str, hi=1, closed: bool = False) -> Fraction:
+    """value as an exact Fraction in (0, hi), or (0, hi] when closed; any
+    other value, a NaN float or a string like "1/0" included, raises
+    ValueError "<name> must be in (0, hi)" (or "(0, hi]")."""
+    hi = Fraction(hi)
+    try:
+        x = as_fraction(value)
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is not None and (0 < x < hi or (closed and x == hi)):
+        return x
+    raise ValueError(f"{name} must be in (0, {hi}{']' if closed else ')'}")
+
+
+def at_least(value, name: str, floor: int) -> int:
+    """value as an int >= floor; anything else, a non-integer included,
+    raises ValueError "<name> must be at least <floor>, got <value>"."""
+    if not (isinstance(value, numbers.Integral) and value >= floor):
+        raise ValueError(f"{name} must be at least {floor}, got {value}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------

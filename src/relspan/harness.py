@@ -26,11 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph_core import (NORM_MARGIN, PointSet, WeightedGraph, clean_vertex_set,
-                         largest_component, shortest_path_pairs)
+from .graph_core import (NORM_MARGIN, PointSet, WeightedGraph, as_fraction, at_least,
+                         clean_vertex_set, largest_component, shortest_path_pairs)
 from .lso import build_ordering_family, sort_by_ordering
 from .quadtree import Quadtree, build_quadtree
-from .shadow import (as_fraction, shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
+from .shadow import (shadow_1d, shadow_1d_candidate_sizes, shadow_quadtree,
                      shadow_quadtree_candidate_sizes)
 from .spanner1d import one_path_coverage
 from .spanner_euclidean import hd_config
@@ -145,8 +145,7 @@ class Certifier:
         """hd_config of the build's parameters, so theta' comes from the
         family's actual size."""
         m = self.g.meta
-        return hd_config(m["n"], m["d"], m["epsilon"], as_fraction(m["theta"]),
-                         m["variant"], m["c2"])
+        return hd_config(m["n"], m["d"], m["epsilon"], m["theta"], m["variant"], m["c2"])
 
     @cached_property
     def rank_permutations(self) -> list[np.ndarray]:
@@ -345,7 +344,9 @@ class Certifier:
                 attack: AttackSpec | None = None) -> ReliabilityReport:
         """Certify the graph against its construction's reliability claim
         under the failure set B: compute B+, check |B+| against the bound,
-        then audit the surviving pairs outside B+."""
+        then audit the surviving pairs outside B+ (a sampling audit draws
+        pair_budget >= 1 of them)."""
+        at_least(pair_budget, "pair_budget", 1)
         t0 = time.perf_counter()
         g = self.g
         bad = clean_vertex_set(B, g.n)
@@ -409,6 +410,7 @@ def loss_curve(g: WeightedGraph, attack_kind: str, k_list, trials: int,
                seed: int = 0, pair_budget: int = 10 ** 6) -> list[dict]:
     """Per-trial certification rows plus per-k aggregates, all from one
     certification context."""
+    at_least(trials, "trials", 1)
     ctx = Certifier(g)
     rows = []
     for k in k_list:

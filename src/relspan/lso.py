@@ -34,12 +34,11 @@ import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .graph_core import pow2_at_least
+from .graph_core import at_least, fraction_in, pow2_at_least
 from .streams import substream
 
 W_BITS = 32  # fixed-point quantization per axis; caps usable spread at 2^32
@@ -178,9 +177,7 @@ def family_shape(d: int, sigma) -> dict:
     if isinstance(d, bool) or not isinstance(d, numbers.Integral):
         raise TypeError(f"d must be an int, got {d!r}")
     d = int(d)
-    sigma = float(Fraction(sigma)) if isinstance(sigma, str) else float(sigma)
-    if not (0 < sigma < 1):
-        raise ValueError("sigma must be in (0, 1)")
+    sigma = float(fraction_in(sigma, "sigma"))
     if not (1 <= d <= 8):
         raise ValueError("d must be in [1, 8]")
     root_d = math.sqrt(d)
@@ -422,6 +419,7 @@ def check_lso_property(family: OrderingFamily, p, q, sample_count: int = 200,
     rows when supplied.  Candidate orderings (the scales whose cell offset
     for this pair is in the family) are tried first, then the rest.
     """
+    at_least(sample_count, "sample_count", 0)
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     ell = float(np.linalg.norm(q - p))

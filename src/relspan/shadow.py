@@ -14,26 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import clean_vertex_set
-
-_INT64_SAFE = 1 << 62
-
-
-def as_fraction(alpha) -> Fraction:
-    """Exact threshold from Fraction, int, str ("1/96", "0.25") or float.
-
-    Floats are interpreted through their shortest decimal form, which is what
-    the caller typed in every practical case.
-    """
-    if isinstance(alpha, Fraction):
-        return alpha
-    if isinstance(alpha, int):
-        return Fraction(alpha)
-    if isinstance(alpha, str):
-        return Fraction(alpha)
-    if isinstance(alpha, float):
-        return Fraction(repr(alpha))
-    raise TypeError(f"cannot interpret {alpha!r} as an exact fraction")
+from .graph_core import _INT64_SAFE, clean_vertex_set, fraction_in
+from .graph_core import as_fraction  # noqa: F401  (shadow.as_fraction stays importable)
 
 
 @dataclass
@@ -95,9 +77,7 @@ def shadow_1d(n: int, B, alpha, side: str = "both", witness: bool = False) -> Sh
     Left shadow: i such that some interval [i, j] (j >= i) has at least an
     alpha fraction of failed positions; the right shadow is the mirror image.
     """
-    a = as_fraction(alpha)
-    if not (0 < a <= 1):
-        raise ValueError("alpha must be in (0, 1]")
+    a = fraction_in(alpha, "alpha", closed=True)
     if side not in ("left", "right", "both"):
         raise ValueError("side must be left, right or both")
     bad = clean_vertex_set(B, n)
@@ -150,9 +130,7 @@ def shadow_1d_candidate_sizes(n: int, B, alpha) -> np.ndarray:
     Integer-exact: int64 while every score stays below 2^62, the same code
     on Python ints above that.
     """
-    a = as_fraction(alpha)
-    if not (0 < a <= 1):
-        raise ValueError("alpha must be in (0, 1]")
+    a = fraction_in(alpha, "alpha", closed=True)
     bad = clean_vertex_set(B, n)
     p, q = a.numerator, a.denominator
     dtype = np.int64 if q * (n + 1) < _INT64_SAFE else object
@@ -216,9 +194,7 @@ def _at_least(fraction: Fraction, part: np.ndarray, whole: np.ndarray) -> np.nda
 def _quadtree_failures(tree, B, gamma):
     """(gamma, failed points of B per cell, mask of the cells that are
     >= gamma failed, B as sorted ids)."""
-    g = as_fraction(gamma)
-    if not (0 < g <= 1):
-        raise ValueError("gamma must be in (0, 1]")
+    g = fraction_in(gamma, "gamma", closed=True)
     bad = clean_vertex_set(B, tree.n_points)
     nbad = tree.count(bad)
     return g, nbad, (tree.size > 0) & _at_least(g, nbad, tree.size), bad
@@ -270,9 +246,7 @@ def shadow_balls_oracle(points, B, alpha) -> ShadowResult:
     and ties in distance are grouped so closed-ball counts stay exact."""
     coords = np.asarray(points, dtype=np.float64)
     n = coords.shape[0]
-    a = as_fraction(alpha)
-    if not (0 < a <= 1):
-        raise ValueError("alpha must be in (0, 1]")
+    a = fraction_in(alpha, "alpha", closed=True)
     bad = clean_vertex_set(B, n)
     bad_mark = np.zeros(n, dtype=bool)
     bad_mark[bad] = True
@@ -341,9 +315,7 @@ def cone_mark_unsafe(points, B, alpha) -> np.ndarray:
     coords = np.asarray(points, dtype=np.float64)
     n, d = coords.shape
     ncones = cone_count(d)
-    a = as_fraction(alpha)
-    if not (0 < a <= 1):
-        raise ValueError("alpha must be in (0, 1]")
+    a = fraction_in(alpha, "alpha", closed=True)
     take = math.ceil(1 / a)
     bad = clean_vertex_set(B, n)
     bad_mark = np.zeros(n, dtype=bool)

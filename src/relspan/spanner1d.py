@@ -14,10 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph_core import (EdgeSink, WeightedGraph, clean_vertex_set, monotone_unreached,
-                         pow2_at_least, vertex_ids)
+from .graph_core import (EdgeSink, WeightedGraph, as_fraction, at_least, clean_vertex_set,
+                         fraction_in, monotone_unreached, pow2_at_least, vertex_ids)
 from .expanders import blocks_into_sink
-from .shadow import as_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -39,11 +38,8 @@ def build_H(n: int, xi=Fraction(1, 16), seed: int = 0,
             degree_constant_override: int | None = None) -> WeightedGraph:
     """Block-tree spanner: expanders between all same-level neighboring
     blocks of the full binary tree over [0, pow2(n)), restricted to [0, n)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    xi = as_fraction(xi)
-    if not (0 < xi < 1):
-        raise ValueError("xi must be in (0, 1)")
+    at_least(n, "n", 2)
+    xi = fraction_in(xi, "xi")
     n_padded = pow2_at_least(n)
     h = n_padded.bit_length() - 1
     sink = EdgeSink(n_padded)
@@ -75,6 +71,17 @@ def build_H(n: int, xi=Fraction(1, 16), seed: int = 0,
 # the shifted-interval construction
 # ---------------------------------------------------------------------------
 
+def _check_shift_constants(c: int, mode: str, override: int | None, prefix: str = "") -> None:
+    """The shifted-interval rule: mode is faithful or experimental, c >= 512
+    when faithful and c >= 1 when experimental, and a degree constant
+    override is at least 1.  prefix names the builder's parameters."""
+    if mode not in ("faithful", "experimental"):
+        raise ValueError(f"{prefix}mode must be faithful or experimental")
+    at_least(c, f"{prefix}c", 512 if mode == "faithful" else 1)
+    if override is not None:
+        at_least(override, "degree_constant_override", 1)
+
+
 def shifted_interval_params(theta, c: int = 512) -> tuple[int, Fraction]:
     """Resolution count N = pow2(c / theta^2) and the layer parameter
     xi = 1 / (32 N)."""
@@ -97,19 +104,13 @@ def build_G_theta(n: int, theta, c: int = 512, seed: int = 0,
     expander layers between consecutive shifted intervals at every
     resolution and shift.
 
-    Faithful mode keeps c >= 512; experimental mode allows smaller c and tags
-    the result.  When 3N reaches n the construction collapses to the clique
-    G0 alone; this is reported, not hidden.
+    Faithful mode keeps c >= 512; experimental mode allows any c >= 1 and
+    tags the result.  When 3N reaches n the construction collapses to the
+    clique G0 alone; this is reported, not hidden.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    theta = as_fraction(theta)
-    if not (0 < theta < 1):
-        raise ValueError("theta must be in (0, 1)")
-    if mode not in ("faithful", "experimental"):
-        raise ValueError("mode must be faithful or experimental")
-    if mode == "faithful" and c < 512:
-        raise ValueError("faithful mode requires c >= 512")
+    at_least(n, "n", 2)
+    theta = fraction_in(theta, "theta")
+    _check_shift_constants(c, mode, degree_constant_override)
     N, xi = shifted_interval_params(theta, c)
     n_padded = pow2_at_least(n)
     h = n_padded.bit_length() - 1

@@ -10,16 +10,14 @@ cells).  Both work in PointSet's frame and emit Euclidean-weighted graphs.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .expanders import blocks_into_sink
-from .graph_core import NORM_MARGIN, EdgeSink, PointSet, WeightedGraph
+from .graph_core import NORM_MARGIN, EdgeSink, PointSet, WeightedGraph, at_least, fraction_in
 from .lso import build_ordering_family, family_size, sort_by_ordering
 from .quadtree import build_quadtree, build_wspd, sibling_pairs, wspd_point_pair_counts
-from .shadow import as_fraction
-from .spanner1d import build_G_theta, shifted_interval_params
+from .spanner1d import _check_shift_constants, build_G_theta, shifted_interval_params
 from .streams import subseed
 
 
@@ -34,11 +32,8 @@ def build_bounded_spread_spanner(points, epsilon: float, theta, seed: int = 0,
     with stretch 1 + eps."""
     ps = PointSet(points)
     n = ps.n
-    theta = as_fraction(theta)
-    if not (0 < theta < Fraction(1, 2)):
-        raise ValueError("theta must be in (0, 1/2)")
-    if not (0 < epsilon < 1):
-        raise ValueError("epsilon must be in (0, 1)")
+    theta = fraction_in(theta, "theta", hi="1/2")
+    fraction_in(epsilon, "epsilon")
     tree = build_quadtree(ps.normed)
     separation = 6.0 / epsilon
     pairs = build_wspd(tree, separation)
@@ -89,13 +84,9 @@ def hd_config(n: int, d: int, epsilon: float, theta, variant: str = "improved",
     The reliability split theta' is computed from the family's *actual* size
     M, so downstream certificates stay self-consistent with the build.
     """
-    theta = as_fraction(theta)
-    if not (0 < theta < 1):
-        raise ValueError("theta must be in (0, 1)")
-    if not (0 < epsilon < 1):
-        raise ValueError("epsilon must be in (0, 1)")
-    if c2 < 16:
-        raise ValueError("c2 must be at least 16")
+    theta = fraction_in(theta, "theta")
+    fraction_in(epsilon, "epsilon")
+    at_least(c2, "c2", 16)
     if variant == "improved":
         sigma = epsilon / c2
         rounds = math.ceil(math.log2(max(2.0, math.log2(max(4, n))))) + 1
@@ -146,6 +137,7 @@ def build_hd_spanner(points, epsilon: float, theta, variant: str = "improved",
     ps = PointSet(points)
     n, d = ps.n, ps.d
     cfg = hd_config(n, d, epsilon, theta, variant, c2)
+    _check_shift_constants(sub_c, sub_mode, degree_constant_override, prefix="sub_")
     N1d, _ = shifted_interval_params(cfg["theta_prime"], sub_c)
     sink = EdgeSink(n)
     if 3 * N1d >= n - 1:

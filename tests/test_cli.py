@@ -348,6 +348,80 @@ def test_attack_negative_k_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bad.txt").exists()
 
 
+def _contract_inputs(tmp_path) -> dict:
+    """A points file, the bounded-spread graph built on it, a failure set,
+    a directory and an output path, for the argv templates below."""
+    paths = {name: tmp_path / name for name in ("pts.txt", "bs.edges", "bad.txt", "dir", "out")}
+    save_points(jittered_grid(4, 4, seed=5), paths["pts.txt"])
+    assert run(["build", "bounded-spread", "--points", paths["pts.txt"], "--eps", "0.5",
+                "--theta", "0.25", "-o", paths["bs.edges"]]) == 0
+    paths["bad.txt"].write_text("5\n")
+    paths["dir"].mkdir()
+    return paths
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["build", "1d-const", "--n", "64", "--xi", "1/2", "--override-c", "0", "-o", "out"],
+     "degree_constant_override must be at least 1, got 0"),
+    (["build", "1d-const", "--n", "64", "--xi", "1/2", "--override-c", "-1", "-o", "out"],
+     "degree_constant_override must be at least 1, got -1"),
+    (["expander", "bipartite", "--left", "6", "--right", "6", "--xi", "1/2",
+      "--override-c", "0", "-o", "out"], "degree_constant_override must be at least 1, got 0"),
+    (["expander", "strong", "--n", "10", "--alpha", "2", "--beta", "1/2",
+      "--override-c", "0", "-o", "out"], "degree_constant_override must be at least 1, got 0"),
+    (["build", "1d-theta", "--n", "64", "--theta", "1/2", "--c", "0", "--mode", "experimental",
+      "-o", "out"], "c must be at least 1, got 0"),
+    (["build", "1d-theta", "--n", "64", "--theta", "1/2", "--c", "-3", "--mode", "experimental",
+      "-o", "out"], "c must be at least 1, got -3"),
+    (["build", "hd", "--points", "pts.txt", "--eps", "0.5", "--theta", "0.5", "--sub-c", "8",
+      "-o", "out"], "sub_c must be at least 512, got 8"),
+    (["build", "1d-theta", "--n", "64", "--theta", "1/0", "-o", "out"],
+     "theta must be in (0, 1)"),
+    (["build", "bounded-spread", "--points", "pts.txt", "--eps", "nan", "--theta", "0.25",
+      "-o", "out"], "epsilon must be in (0, 1)"),
+    (["certify", "--graph", "bs.edges", "--pairs", "0", "-o", "out"],
+     "pair_budget must be at least 1, got 0"),
+    (["loss-curve", "--graph", "bs.edges", "--kind", "random", "--k-list", "1", "--trials", "0",
+      "-o", "out"], "trials must be at least 1, got 0"),
+    (["lso", "check", "--points", "pts.txt", "--sigma", "0.25", "--pairs", "0"],
+     "pairs must be at least 1, got 0"),
+    (["lso", "check", "--points", "pts.txt", "--sigma", "0.25", "--pairs", "2",
+      "--samples", "-1"], "sample_count must be at least 0, got -1"),
+])
+def test_out_of_range_parameter_exits_two(tmp_path, capsys, argv, error):
+    paths = _contract_inputs(tmp_path)
+    capsys.readouterr()
+    assert run([paths.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert not paths["out"].exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "1d-const", "--n", "16", "-o", "dir"],
+    ["attack", "--graph", "bs.edges", "--kind", "random", "--k", "3", "-o", "dir"],
+    ["certify", "--graph", "bs.edges", "--bad", "bad.txt", "-o", "dir"],
+    ["shadow", "1d", "--n", "16", "--alpha", "1/2", "--bad", "dir", "-o", "out"],
+    ["loss-curve", "--graph", "bs.edges", "--kind", "random", "--k-list", "2", "--trials", "1",
+     "-o", "dir"],
+])
+def test_os_error_is_a_usage_error(tmp_path, capsys, argv):
+    # exit 1 means a certification failure, so a path that cannot be read or
+    # written exits 2 like every other usage error
+    paths = _contract_inputs(tmp_path)
+    capsys.readouterr()
+    assert run([paths.get(a, a) for a in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: [Errno ") and "Is a directory" in err
+    assert not paths["out"].exists()
+
+
+def test_experimental_regime_note_uses_the_given_c(tmp_path, capsys):
+    assert run(["build", "1d-theta", "--n", "64", "--theta", "1/2", "--c", "8",
+                "--mode", "experimental", "-o", tmp_path / "g.edges"]) == 0
+    assert capsys.readouterr().err == ("note: regime=g0_clique; layered construction needs "
+                                       "n >= 98 at these parameters\n")
+
+
 def test_loss_curve_cli(tmp_path):
     out = tmp_path / "h.edges"
     run(["build", "1d-const", "--n", "64", "--seed", "8", "-o", out])

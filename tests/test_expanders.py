@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,57 +12,140 @@ from relspan.expanders import (bipartite_degree_constant, bipartite_sample_plans
                                build_reliable_connectivity, build_strong_expander,
                                build_verified_bipartite,
                                reliable_connectivity_params,
-                               verify_expansion_bruteforce,
+                               verify_connectivity_sampled, verify_expansion_bruteforce,
                                verify_expansion_sampled, verify_strong_expansion)
-from relspan.graph_core import EdgeSink, WeightedGraph
-from relspan.shadow import as_fraction
-from relspan.spanner1d import build_G_theta
+from relspan.graph_core import EdgeSink, PointSet, WeightedGraph, at_least, fraction_in
+from relspan.harness import certify, loss_curve
+from relspan.lso import build_ordering_family, check_lso_property, family_shape
+from relspan.quadtree import build_quadtree
+from relspan.shadow import (cone_mark_unsafe, shadow_1d, shadow_1d_candidate_sizes,
+                            shadow_balls_oracle, shadow_quadtree,
+                            shadow_quadtree_candidate_sizes)
+from relspan.spanner1d import build_G_theta, build_H
+from relspan.spanner_euclidean import build_bounded_spread_spanner, build_hd_spanner
 from relspan.streams import substream
 
 from helpers import degrees, edge_set
 from oracles import expander_block_oracle, sample_plan_py, shortest_path_length
 
 
-@dataclass
-class ExpanderParams:
-    """The expander parameter ranges: xi, beta in (0, 1), theta in (0, 1/2),
-    alpha an integer > 1 and a degree constant override >= 1."""
-
-    xi: Fraction | None = None
-    alpha: int | None = None
-    beta: Fraction | None = None
-    theta: Fraction | None = None
-    seed: int = 0
-    degree_constant_override: int | None = None
-
-    def __post_init__(self):
-        if self.xi is not None:
-            self.xi = as_fraction(self.xi)
-            if not (0 < self.xi < 1):
-                raise ValueError("xi must be in (0, 1)")
-        if self.alpha is not None and self.alpha <= 1:
-            raise ValueError("alpha must be an integer > 1")
-        if self.beta is not None:
-            self.beta = as_fraction(self.beta)
-            if not (0 < self.beta < 1):
-                raise ValueError("beta must be in (0, 1)")
-        if self.theta is not None:
-            self.theta = as_fraction(self.theta)
-            if not (0 < self.theta < Fraction(1, 2)):
-                raise ValueError("theta must be in (0, 1/2)")
-        if self.degree_constant_override is not None and self.degree_constant_override < 1:
-            raise ValueError("degree constant override must be >= 1")
-
-
 def test_params_validation():
-    with pytest.raises(ValueError):
-        ExpanderParams(xi=Fraction(3, 2))
-    with pytest.raises(ValueError):
-        ExpanderParams(alpha=1)
-    with pytest.raises(ValueError):
-        ExpanderParams(theta=Fraction(3, 4))
-    with pytest.raises(ValueError):
-        ExpanderParams(degree_constant_override=0)
+    # the two helpers every builder, shadow and audit checks its parameters with
+    assert fraction_in("1/4", "xi") == Fraction(1, 4)
+    assert fraction_in(0.25, "epsilon") == Fraction(1, 4)
+    assert fraction_in(1, "alpha", closed=True) == 1
+    assert fraction_in("0.4", "theta", hi=Fraction(1, 2)) == Fraction(2, 5)
+    for value, kwargs, message in (
+            ("0", {}, "xi must be in (0, 1)"),
+            (1, {}, "xi must be in (0, 1)"),
+            (float("nan"), {}, "xi must be in (0, 1)"),
+            (float("inf"), {}, "xi must be in (0, 1)"),
+            ("nan", {}, "xi must be in (0, 1)"),
+            ("1/0", {}, "xi must be in (0, 1)"),
+            ("3/2", {"closed": True}, "xi must be in (0, 1]"),
+            ("1/2", {"hi": Fraction(1, 2)}, "xi must be in (0, 1/2)")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fraction_in(value, "xi", **kwargs)
+    assert at_least(np.int64(3), "n", 2) == 3 and type(at_least(np.int64(3), "n", 2)) is int
+    for value, message in ((1, "n must be at least 2, got 1"),
+                           (2.0, "n must be at least 2, got 2.0"),
+                           (float("nan"), "n must be at least 2, got nan")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            at_least(value, "n", 2)
+
+
+_PTS = substream(31, "contract").random((16, 2))
+
+
+def _bounded_spread():
+    return build_bounded_spread_spanner(_PTS, 0.5, "1/4", seed=1)
+
+
+# (call, the parameter its ValueError names); each value is out of range
+_OUT_OF_RANGE = {
+    "bipartite-left": (lambda: build_bipartite_expander(0, 4, "1/2"), "left_size"),
+    "bipartite-right": (lambda: build_bipartite_expander(4, -1, "1/2"), "right_size"),
+    "bipartite-xi": (lambda: build_bipartite_expander(4, 4, "1"), "xi"),
+    "bipartite-xi-nan": (lambda: build_bipartite_expander(4, 4, float("nan")), "xi"),
+    "bipartite-override-0": (lambda: build_bipartite_expander(
+        4, 4, "1/2", degree_constant_override=0), "degree_constant_override"),
+    "bipartite-override-neg": (lambda: build_bipartite_expander(
+        4, 4, "1/2", degree_constant_override=-1), "degree_constant_override"),
+    "sample-plans-override": (lambda: bipartite_sample_plans(
+        [4], [4], Fraction(1, 2), 0), "degree_constant_override"),
+    "verified-attempts": (lambda: build_verified_bipartite(4, 4, "1/2", max_attempts=0),
+                          "max_attempts"),
+    "verified-xi": (lambda: build_verified_bipartite(4, 4, "0"), "xi"),
+    "bruteforce-xi": (lambda: verify_expansion_bruteforce(
+        build_bipartite_expander(2, 2, "1/2"), ([0, 1], [2, 3]), "1"), "xi"),
+    "strong-verifier-beta": (lambda: verify_strong_expansion(
+        build_strong_expander(10, 2, "1/2"), 2, "3"), "beta"),
+    "connectivity-verifier-theta": (lambda: verify_connectivity_sampled(
+        build_reliable_connectivity(10, "2/5"), "3", 5), "theta"),
+    "strong-n": (lambda: build_strong_expander(1, 2, "1/2"), "n"),
+    "strong-alpha": (lambda: build_strong_expander(10, 1, "1/2"), "alpha"),
+    "strong-alpha-fraction": (lambda: build_strong_expander(10, 2.5, "1/2"), "alpha"),
+    "strong-beta": (lambda: build_strong_expander(10, 2, "1"), "beta"),
+    "strong-override": (lambda: build_strong_expander(
+        10, 2, "1/2", degree_constant_override=0), "degree_constant_override"),
+    "reliable-theta": (lambda: build_reliable_connectivity(10, "1/2"), "theta"),
+    "reliable-override": (lambda: build_reliable_connectivity(
+        10, "2/5", degree_constant_override=0), "degree_constant_override"),
+    "H-n": (lambda: build_H(1), "n"),
+    "H-xi": (lambda: build_H(8, "3/2"), "xi"),
+    "H-override": (lambda: build_H(64, "1/2", degree_constant_override=0),
+                   "degree_constant_override"),
+    "G_theta-n": (lambda: build_G_theta(1, "1/2", c=8, mode="experimental"), "n"),
+    "G_theta-theta": (lambda: build_G_theta(64, "1", c=8, mode="experimental"), "theta"),
+    "G_theta-mode": (lambda: build_G_theta(64, "1/2", mode="fast"), "mode"),
+    "G_theta-faithful-c": (lambda: build_G_theta(64, "1/2", c=8), "c"),
+    "G_theta-experimental-c-0": (lambda: build_G_theta(
+        64, "1/2", c=0, mode="experimental"), "c"),
+    "G_theta-experimental-c-neg": (lambda: build_G_theta(
+        64, "1/2", c=-3, mode="experimental"), "c"),
+    "G_theta-clique-override": (lambda: build_G_theta(
+        64, "1/2", c=8, mode="experimental", degree_constant_override=0),
+        "degree_constant_override"),
+    "bounded-spread-theta": (lambda: build_bounded_spread_spanner(_PTS, 0.5, "1/2"), "theta"),
+    "bounded-spread-eps": (lambda: build_bounded_spread_spanner(_PTS, 1.0, "1/4"), "epsilon"),
+    "bounded-spread-eps-inf": (lambda: build_bounded_spread_spanner(
+        _PTS, float("inf"), "1/4"), "epsilon"),
+    "bounded-spread-override": (lambda: build_bounded_spread_spanner(
+        _PTS, 0.5, "1/4", degree_constant_override=0), "degree_constant_override"),
+    "hd-theta": (lambda: build_hd_spanner(_PTS, 0.5, "1"), "theta"),
+    "hd-eps-nan": (lambda: build_hd_spanner(_PTS, float("nan"), "1/2"), "epsilon"),
+    "hd-c2": (lambda: build_hd_spanner(_PTS, 0.5, "1/2", c2=8), "c2"),
+    "hd-faithful-sub-c": (lambda: build_hd_spanner(_PTS, 0.5, "1/2", sub_c=8), "sub_c"),
+    "hd-experimental-sub-c": (lambda: build_hd_spanner(
+        _PTS, 0.5, "1/2", sub_c=0, sub_mode="experimental"), "sub_c"),
+    "hd-sub-mode": (lambda: build_hd_spanner(_PTS, 0.5, "1/2", sub_mode="fast"), "sub_mode"),
+    "hd-override": (lambda: build_hd_spanner(
+        _PTS, 0.5, "1/2", sub_c=8, sub_mode="experimental", degree_constant_override=0),
+        "degree_constant_override"),
+    "shadow-1d": (lambda: shadow_1d(8, [1], "0"), "alpha"),
+    "shadow-1d-scores": (lambda: shadow_1d_candidate_sizes(8, [1], "3/2"), "alpha"),
+    "shadow-quadtree": (lambda: shadow_quadtree(build_quadtree(PointSet(_PTS).normed), [1], "0"),
+                        "gamma"),
+    "shadow-quadtree-scores": (lambda: shadow_quadtree_candidate_sizes(
+        build_quadtree(PointSet(_PTS).normed), [1], "2"), "gamma"),
+    "shadow-balls": (lambda: shadow_balls_oracle(_PTS, [1], "-1/2"), "alpha"),
+    "cone-marking": (lambda: cone_mark_unsafe(_PTS, [1], float("nan")), "alpha"),
+    "lso-sigma": (lambda: build_ordering_family(2, 1.0), "sigma"),
+    "lso-sigma-nan": (lambda: family_shape(2, float("nan")), "sigma"),
+    "lso-samples": (lambda: check_lso_property(
+        build_ordering_family(1, 0.5), [0.25], [0.75], sample_count=-1), "sample_count"),
+    "certify-pairs": (lambda: certify(_bounded_spread(), [], pair_budget=0), "pair_budget"),
+    "loss-curve-trials": (lambda: loss_curve(_bounded_spread(), "random", [1], 0), "trials"),
+    "loss-curve-pairs": (lambda: loss_curve(_bounded_spread(), "random", [1], 1, pair_budget=0),
+                         "pair_budget"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_RANGE))
+def test_out_of_range_parameter_raises_naming_it(case):
+    call, name = _OUT_OF_RANGE[case]
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
 
 
 def test_degree_constant_formula():
